@@ -5,27 +5,27 @@ The pieces: `textvec` turns captions into binary bag-of-words vectors (with
 optional POS-pattern n-grams), `nn` is the two-branch network with analytic
 gradients, `optim` trains it (stochastic loss selection, aggregated loss, or
 visual-only), `retrieval` does exact nearest-neighbor search over normalized
-vectors, `evaluation` scores rankings with ROUGE-L relevance and DCG, `data`
-handles files and the synthetic dataset, and `cli` glues it all together.
+vectors, `evaluation` builds each compared method's rankings and scores them
+with ROUGE-L relevance and DCG, `data` handles files and the synthetic
+dataset, and `cli` glues it all together.
 """
 
 from .data import (CaptionedImage, DatasetSplit, FormatError, SynthConfig,
                    SynthGroundTruth, generate_synthetic, join_captions_features,
                    load_captions, load_features, save_captions, save_features,
                    split_dataset)
-from .evaluation import (EvalReport, Query, dcg, evaluate, lcs_length, relevance,
+from .evaluation import (EvalReport, Query, collection_queries, dcg, evaluate,
+                         lcs_length, predict_and_rank, rank_functions, relevance,
                          rouge_l, rrank_ranking, vissim_ranking)
 from .nn import (ForwardResult, Model, backward_text, backward_visual, forward,
                  init_model, load_checkpoint, mse, param_count, relu,
                  save_checkpoint)
 from .optim import (Adam, EncodedDataset, TrainConfig, TrainHistory, TrainResult,
-                    TrainTriple, TrainingDiverged, aggregated_train,
-                    early_stop_check, encode_dataset, sample_triple, sl_train,
-                    visreg_train)
+                    TrainingDiverged, aggregated_train, early_stop_check,
+                    encode_dataset, pick_captions, sl_train, visreg_train)
 from .retrieval import (RankEntry, RankedList, VisualIndex, build_index,
                         l2_normalize, query)
 from .textvec import (BowVector, Token, Vocabulary, build_vocabulary,
-                      caption_terms, encode_bow, extract_ngrams, pos_tag,
-                      tokenize)
+                      caption_terms, extract_ngrams, pos_tag, tokenize)
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,15 @@ def _load_dataset(cfg: dict) -> list[data.CaptionedImage]:
     records = data.load_captions(cfg["captions"])
     ids, matrix = data.load_features(cfg["features"])
     return data.join_captions_features(records, ids, matrix)
+
+
+def _load_model(path, vocab: textvec.Vocabulary) -> nn.Model:
+    """A checkpoint, checked against the vocabulary it will be fed from."""
+    model = nn.load_checkpoint(path)
+    if len(vocab) != model.vocab_dim:
+        raise ValueError(f"vocabulary size {len(vocab)} does not match "
+                         f"checkpoint vocab dim {model.vocab_dim}")
+    return model
 
 
 def _split_for(cfg: dict, images: list[data.CaptionedImage]) -> data.DatasetSplit:
@@ -142,7 +152,9 @@ _TRAIN_DEFAULTS = dict(captions=None, features=None, vocab=None, strategy="sl",
 def cmd_train(args) -> int:
     cfg = _resolve(args, _TRAIN_DEFAULTS)
     _require(cfg, "captions", "features", "vocab", "out")
-    if cfg["strategy"] not in ("sl", "aggregated", "visreg"):
+    trainers = {"sl": optim.sl_train, "visreg": optim.visreg_train,
+                "aggregated": partial(optim.aggregated_train, text_weight=cfg["lambda_text"])}
+    if cfg["strategy"] not in trainers:
         raise ValueError(f"unknown strategy {cfg['strategy']!r}")
 
     vocab = textvec.Vocabulary.load(cfg["vocab"])
@@ -173,14 +185,8 @@ def cmd_train(args) -> int:
         print(f"iter {point.iteration}: train_v={point.train_loss_v:.5f}"
               f"{t} val_v={point.val_loss_v:.5f}{vt}", flush=True)
 
-    if cfg["strategy"] == "sl":
-        result = optim.sl_train(train_set, val_set, model, train_cfg, progress=progress)
-    elif cfg["strategy"] == "aggregated":
-        result = optim.aggregated_train(train_set, val_set, model, train_cfg,
-                                        text_weight=cfg["lambda_text"], progress=progress)
-    else:
-        result = optim.visreg_train(train_set, val_set, model, train_cfg,
-                                    progress=progress)
+    result = trainers[cfg["strategy"]](train_set, val_set, model, train_cfg,
+                                       progress=progress)
 
     nn.save_checkpoint(result.model, out_dir / "checkpoint.t2vm")
     result.history.to_csv(out_dir / "history.csv")
@@ -226,53 +232,16 @@ def cmd_eval(args) -> int:
     if not collection:
         raise ValueError(f"split {cfg['split']!r} is empty")
 
-    index = retrieval.build_index([img.image_id for img in collection],
-                                  np.stack([img.feature for img in collection]))
-    feature_by_id = {img.image_id: img.feature for img in collection}
-    captions_tokens = {
-        img.image_id: [tuple(t.surface for t in textvec.tokenize(c)) for c in img.captions]
-        for img in collection}
-    queries = [evaluation.Query(image_id=img.image_id, text=img.captions[0],
-                                tokens=captions_tokens[img.image_id][0])
-               for img in collection]
+    def load_model(name: str) -> nn.Model:
+        if name not in checkpoints:
+            raise ValueError(f"method {name!r} requires --checkpoint {name}=PATH")
+        return _load_model(checkpoints[name], vocab)
 
-    exclude_self = not cfg["include_self"]
     p = cfg["p"]
-    rng = np.random.default_rng(cfg["seed"])
-
-    def model_method(model: nn.Model):
-        def rank(q: evaluation.Query) -> retrieval.RankedList:
-            pred = nn.forward(model, vocab.encode_text(q.text)).visual_pred
-            return retrieval.query(index, pred, p,
-                                   exclude_id=q.image_id if exclude_self else None)
-        return rank
-
-    methods: dict[str, evaluation.RankFn] = {}
-    for name in [m.strip() for m in cfg["methods"].split(",") if m.strip()]:
-        if name in ("text2vis", "visreg"):
-            if name not in checkpoints:
-                raise ValueError(
-                    f"method {name!r} requires --checkpoint {name}=PATH")
-            methods[name] = model_method(nn.load_checkpoint(checkpoints[name]))
-        elif name == "vissim":
-            def vissim(q, _p=p):
-                if exclude_self:
-                    return evaluation.vissim_ranking(index, feature_by_id[q.image_id],
-                                                     q.image_id, _p)
-                return retrieval.query(index, feature_by_id[q.image_id], _p)
-            methods[name] = vissim
-        elif name == "rrank":
-            def rrank(q, _p=p):
-                ids = index.ids
-                if exclude_self:
-                    ids = ids[ids != q.image_id]
-                return evaluation.rrank_ranking(ids, rng, min(_p, len(ids)))
-            methods[name] = rrank
-        else:
-            raise ValueError(f"unknown method {name!r}")
-    if not methods:
-        raise ValueError("no methods selected")
-
+    methods = evaluation.rank_functions(
+        [m.strip() for m in cfg["methods"].split(",") if m.strip()], collection, vocab,
+        load_model, p=p, include_self=cfg["include_self"], seed=cfg["seed"])
+    queries, captions_tokens = evaluation.collection_queries(collection)
     report = evaluation.evaluate(methods, queries, captions_tokens,
                                  p=p, beta=cfg["beta"])
 
@@ -283,8 +252,8 @@ def cmd_eval(args) -> int:
     report.write_per_query_csv(out_dir / "per_query.csv")
     report.write_diff_cdf_csvs(out_dir)
 
-    print(f"{len(queries)} queries over {index.size} images "
-          f"(split={cfg['split']}, p={p}, exclude_self={exclude_self})")
+    print(f"{len(queries)} queries over {len(collection)} images "
+          f"(split={cfg['split']}, p={p}, exclude_self={not cfg['include_self']})")
     for name in report.methods:
         print(f"  {name:10s} mean DCG@{p} = {report.mean_dcg(name):.4f}")
     for a, b in [(a, b) for i, a in enumerate(report.methods)
@@ -306,11 +275,8 @@ def cmd_search(args) -> int:
     cfg["query"] = " ".join(args.query)
     _require(cfg, "checkpoint", "vocab", "features")
 
-    model = nn.load_checkpoint(cfg["checkpoint"])
     vocab = textvec.Vocabulary.load(cfg["vocab"])
-    if len(vocab) != model.vocab_dim:
-        raise ValueError(f"vocabulary size {len(vocab)} does not match "
-                         f"checkpoint vocab dim {model.vocab_dim}")
+    model = _load_model(cfg["checkpoint"], vocab)
     ids, matrix = data.load_features(cfg["features"])
     index = retrieval.build_index(ids, matrix)
 
@@ -318,8 +284,7 @@ def cmd_search(args) -> int:
     if not bow.on_indices:
         print("warning: query is fully out-of-vocabulary; "
               "ranking from the bias-only representation", file=sys.stderr)
-    pred = nn.forward(model, bow).visual_pred
-    ranking = retrieval.query(index, pred, cfg["k"])
+    ranking = evaluation.predict_and_rank(model, bow, index, cfg["k"])
     for rank, entry in enumerate(ranking.entries, start=1):
         print(f"{rank:4d}. {entry.image_id}  distance={entry.distance:.6f}")
     return 0

@@ -9,6 +9,7 @@ File formats:
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
 from dataclasses import dataclass
@@ -83,6 +84,14 @@ def save_captions(path, records: list[tuple[int, list[str]]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """A UTF-8 CSV file: the header row, then the rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_features(path, ids, matrix) -> None:

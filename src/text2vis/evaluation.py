@@ -1,18 +1,20 @@
-"""Retrieval evaluation: ROUGE-L caption relevance, DCG@p, baseline rankings,
-and per-method comparison reports (means, win rates, difference CDFs)."""
+"""Retrieval evaluation: ROUGE-L caption relevance, DCG@p, the rank functions
+of the compared methods (model prediction, VisSim, RRank), and per-method
+comparison reports (means, win rates, difference CDFs)."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import nn, retrieval, textvec
+from .data import CaptionedImage, write_csv
 from .retrieval import RankedList, RankEntry, VisualIndex
-from . import retrieval
 
 DEFAULT_RANK_CUTOFF = 25
 DEFAULT_ROUGE_BETA = 1.2
@@ -87,9 +89,28 @@ def rrank_ranking(ids: Sequence[int], rng: np.random.Generator, k: int) -> Ranke
 
 
 def vissim_ranking(index: VisualIndex, query_feature: np.ndarray,
-                   query_image_id: int, k: int) -> RankedList:
-    """Similarity baseline: rank by the query caption's own image feature."""
+                   query_image_id: int | None, k: int) -> RankedList:
+    """Similarity baseline: rank by the query caption's own image feature,
+    leaving that image out of the candidates unless query_image_id is None."""
     return retrieval.query(index, query_feature, k, exclude_id=query_image_id)
+
+
+def predict_and_rank(model: nn.Model, bow: textvec.BowVector, index: VisualIndex,
+                     k: int, exclude_id: int | None = None) -> RankedList:
+    """Top-k of the index by distance to the model's visual prediction for bow.
+
+    A zero prediction (a fully out-of-vocabulary query on a fresh model, or a
+    dead ReLU output) has no direction to rank by.  It lies at distance 1.0
+    from every unit-norm candidate, so all of them tie and ascending id decides.
+    """
+    pred = nn.forward(model, bow).visual_pred
+    if pred.any():
+        return retrieval.query(index, pred, k, exclude_id=exclude_id)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ids = np.sort(index.ids if exclude_id is None else index.ids[index.ids != exclude_id])
+    return RankedList(entries=[RankEntry(int(i), 1.0) for i in ids[:k]],
+                      query_id=exclude_id)
 
 
 @dataclass(frozen=True)
@@ -129,38 +150,84 @@ class EvalReport:
         return [(d, (i + 1) / n) for i, d in enumerate(deltas)]
 
     def write_summary_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "mean_dcg", "p"])
-            for method in self.methods:
-                writer.writerow([method, repr(self.mean_dcg(method)), self.p])
+        write_csv(path, ["method", "mean_dcg", "p"],
+                  ([method, repr(self.mean_dcg(method)), self.p] for method in self.methods))
 
     def write_per_query_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["query_id", "method", "dcg"])
-            for method, values in self.dcg_by_method.items():
-                for query_id, value in zip(self.query_ids, values):
-                    writer.writerow([query_id, method, repr(value)])
+        write_csv(path, ["query_id", "method", "dcg"],
+                  ([query_id, method, repr(value)]
+                   for method, values in self.dcg_by_method.items()
+                   for query_id, value in zip(self.query_ids, values)))
 
     def write_diff_cdf_csvs(self, out_dir) -> list[str]:
         """One `delta,cumulative_fraction` CSV per method pair; returns the paths."""
-        from pathlib import Path
-
-        out_dir = Path(out_dir)
         paths = []
         for method_a, method_b in combinations(self.methods, 2):
-            path = out_dir / f"diff_cdf_{method_a}_vs_{method_b}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["delta", "cumulative_fraction"])
-                for delta, frac in self.diff_cdf(method_a, method_b):
-                    writer.writerow([repr(delta), repr(frac)])
+            path = Path(out_dir) / f"diff_cdf_{method_a}_vs_{method_b}.csv"
+            write_csv(path, ["delta", "cumulative_fraction"],
+                      ([repr(delta), repr(frac)]
+                       for delta, frac in self.diff_cdf(method_a, method_b)))
             paths.append(str(path))
         return paths
 
 
 RankFn = Callable[[Query], RankedList]
+
+
+def collection_queries(
+        collection: Sequence[CaptionedImage]) -> tuple[list[Query], dict[int, list[tuple[str, ...]]]]:
+    """One query per image (its first caption), and every image's tokenized captions."""
+    captions_tokens = {
+        img.image_id: [tuple(t.surface for t in textvec.tokenize(c)) for c in img.captions]
+        for img in collection}
+    queries = [Query(image_id=img.image_id, text=img.captions[0],
+                     tokens=captions_tokens[img.image_id][0])
+               for img in collection]
+    return queries, captions_tokens
+
+
+def rank_functions(names: Sequence[str], collection: Sequence[CaptionedImage],
+                   vocab: textvec.Vocabulary, load_model: Callable[[str], nn.Model],
+                   p: int = DEFAULT_RANK_CUTOFF, include_self: bool = False,
+                   seed: int = 0) -> dict[str, RankFn]:
+    """The rank function of each named method over the collection's features.
+
+    text2vis and visreg rank by the prediction of the model that
+    load_model(name) returns, vissim by the query image's own feature, and
+    rrank at random (seeded once for all queries).  Unless include_self, the
+    query's own image is left out of the candidates.
+    """
+    index = retrieval.build_index([img.image_id for img in collection],
+                                  np.stack([img.feature for img in collection]))
+    feature_by_id = {img.image_id: img.feature for img in collection}
+    rng = np.random.default_rng(seed)
+
+    def excluded(q: Query) -> int | None:
+        return None if include_self else q.image_id
+
+    def model_rank(model: nn.Model) -> RankFn:
+        return lambda q: predict_and_rank(model, vocab.encode_text(q.text), index, p,
+                                          excluded(q))
+
+    def vissim(q: Query) -> RankedList:
+        return vissim_ranking(index, feature_by_id[q.image_id], excluded(q), p)
+
+    def rrank(q: Query) -> RankedList:
+        ids = index.ids if include_self else index.ids[index.ids != q.image_id]
+        return rrank_ranking(ids, rng, min(p, len(ids)))
+
+    baselines = {"vissim": vissim, "rrank": rrank}
+    methods: dict[str, RankFn] = {}
+    for name in names:
+        if name in ("text2vis", "visreg"):
+            methods[name] = model_rank(load_model(name))
+        elif name in baselines:
+            methods[name] = baselines[name]
+        else:
+            raise ValueError(f"unknown method {name!r}")
+    if not methods:
+        raise ValueError("no methods selected")
+    return methods
 
 
 def evaluate(methods: dict[str, RankFn], queries: Sequence[Query],

@@ -61,12 +61,15 @@ class Model:
 
     def params(self) -> dict[str, np.ndarray]:
         """All present parameter arrays, keyed by field name."""
-        out = {"w_hid": self.w_hid, "b_hid": self.b_hid,
-               "w_vis": self.w_vis, "b_vis": self.b_vis}
+        out = self.branch_params("vis")
         if self.has_text_branch:
-            out["w_txt"] = self.w_txt
-            out["b_txt"] = self.b_txt
+            out.update(self.branch_params("txt"))
         return out
+
+    def branch_params(self, head: str) -> dict[str, np.ndarray]:
+        """The arrays one head's loss touches: the shared layer and that head."""
+        return {"w_hid": self.w_hid, "b_hid": self.b_hid,
+                f"w_{head}": getattr(self, f"w_{head}"), f"b_{head}": getattr(self, f"b_{head}")}
 
     def copy(self) -> "Model":
         return Model(
@@ -141,78 +144,50 @@ def mse(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
-def _hidden_from_bow(model: Model, text_bow: BowVector) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-activation and activation of the hidden layer for one sparse input.
-
-    Only the active columns of w_hid are touched.
-    """
+def _check_input_dim(model: Model, text_bow: BowVector) -> None:
     if text_bow.dim != model.vocab_dim:
         raise ValueError(
             f"input dim {text_bow.dim} does not match vocabulary dim {model.vocab_dim}")
+
+
+def forward(model: Model, text_bow: BowVector) -> ForwardResult:
+    """Run the net on one bag-of-words input; only the active columns of w_hid
+    are touched."""
+    _check_input_dim(model, text_bow)
     pre = model.b_hid.astype(np.float64).copy()
     if text_bow.on_indices:
         idx = np.asarray(text_bow.on_indices, dtype=np.intp)
         pre += model.w_hid[:, idx].astype(np.float64).sum(axis=1)
-    return pre, relu(pre)
-
-
-def forward(model: Model, text_bow: BowVector) -> ForwardResult:
-    """Run the net on one bag-of-words input."""
-    _, hidden = _hidden_from_bow(model, text_bow)
-    text_recon = None
-    if model.has_text_branch:
-        text_recon = relu(model.w_txt.astype(np.float64) @ hidden
-                          + model.b_txt.astype(np.float64))
-    visual_pred = relu(model.w_vis.astype(np.float64) @ hidden
-                       + model.b_vis.astype(np.float64))
-    return ForwardResult(hidden=hidden, text_recon=text_recon, visual_pred=visual_pred)
-
-
-def _head_backward(w_out, b_out, pre1, hidden, on_idx, target, vocab_dim):
-    """Shared chain rule for one output head over {w_hid, b_hid, w_out, b_out}."""
-    w_out64 = w_out.astype(np.float64)
-    pre_out = w_out64 @ hidden + b_out.astype(np.float64)
-    pred = relu(pre_out)
-    diff = pred - target
-    n = diff.size
-    loss = float(np.mean(diff * diff))
-
-    delta_out = (2.0 / n) * diff * (pre_out > 0)
-    g_w_out = np.outer(delta_out, hidden)
-    g_b_out = delta_out
-    delta_hid = (w_out64.T @ delta_out) * (pre1 > 0)
-    g_w_hid = np.zeros((hidden.shape[0], vocab_dim), dtype=np.float64)
-    if on_idx:
-        g_w_hid[:, list(on_idx)] = delta_hid[:, None]
-    return loss, g_w_hid, delta_hid, g_w_out, g_b_out
+    hidden = relu(pre)
+    text_recon, visual_pred = _heads(model, hidden[:, None])
+    return ForwardResult(hidden=hidden,
+                         text_recon=None if text_recon is None else text_recon[:, 0],
+                         visual_pred=visual_pred[:, 0])
 
 
 def backward_text(model: Model, text_bow: BowVector,
                   target_bow: BowVector) -> tuple[float, dict[str, np.ndarray]]:
-    """Text-reconstruction loss and its gradients over {w_hid, b_hid, w_txt, b_txt}."""
+    """Text-reconstruction loss and its gradients over {w_hid, b_hid, w_txt, b_txt};
+    backward_text_batch on a batch of one."""
     if not model.has_text_branch:
         raise ValueError("model has no text branch")
     if target_bow.dim != model.vocab_dim:
         raise ValueError("target dim does not match vocabulary dim")
-    pre1, hidden = _hidden_from_bow(model, text_bow)
-    target = target_bow.to_dense(np.float64)
-    loss, g_w_hid, g_b_hid, g_w_txt, g_b_txt = _head_backward(
-        model.w_txt, model.b_txt, pre1, hidden, text_bow.on_indices, target,
-        model.vocab_dim)
-    return loss, {"w_hid": g_w_hid, "b_hid": g_b_hid, "w_txt": g_w_txt, "b_txt": g_b_txt}
+    _check_input_dim(model, text_bow)
+    return backward_text_batch(model, text_bow.to_dense(np.float64)[:, None],
+                               target_bow.to_dense(np.float64)[:, None])
 
 
 def backward_visual(model: Model, text_bow: BowVector,
                     visual_target: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Visual-regression loss and its gradients over {w_hid, b_hid, w_vis, b_vis}."""
+    """Visual-regression loss and its gradients over {w_hid, b_hid, w_vis, b_vis};
+    backward_visual_batch on a batch of one."""
     visual_target = np.asarray(visual_target, dtype=np.float64)
     if visual_target.shape != (model.visual_dim,):
         raise ValueError("target dim does not match visual dim")
-    pre1, hidden = _hidden_from_bow(model, text_bow)
-    loss, g_w_hid, g_b_hid, g_w_vis, g_b_vis = _head_backward(
-        model.w_vis, model.b_vis, pre1, hidden, text_bow.on_indices, visual_target,
-        model.vocab_dim)
-    return loss, {"w_hid": g_w_hid, "b_hid": g_b_hid, "w_vis": g_w_vis, "b_vis": g_b_vis}
+    _check_input_dim(model, text_bow)
+    return backward_visual_batch(model, text_bow.to_dense(np.float64)[:, None],
+                                 visual_target[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -225,72 +200,67 @@ def hidden_batch(model: Model, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pre, relu(pre)
 
 
+def _head(model: Model, head: str, hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 weights and pre-activation of one head ("txt" or "vis") for a
+    [hidden x batch] activation matrix."""
+    w64 = getattr(model, f"w_{head}").astype(np.float64)
+    return w64, w64 @ hidden + getattr(model, f"b_{head}").astype(np.float64)[:, None]
+
+
+def _heads(model: Model, hidden: np.ndarray):
+    """(text_recon, visual_pred) for a [hidden x batch] activation matrix."""
+    text_recon = relu(_head(model, "txt", hidden)[1]) if model.has_text_branch else None
+    return text_recon, relu(_head(model, "vis", hidden)[1])
+
+
 def forward_batch(model: Model, inputs: np.ndarray):
     """(hidden, text_recon, visual_pred) for a [vocab x batch] input matrix."""
     _, hidden = hidden_batch(model, inputs)
-    text_recon = None
-    if model.has_text_branch:
-        text_recon = relu(model.w_txt.astype(np.float64) @ hidden
-                          + model.b_txt.astype(np.float64)[:, None])
-    visual_pred = relu(model.w_vis.astype(np.float64) @ hidden
-                       + model.b_vis.astype(np.float64)[:, None])
-    return hidden, text_recon, visual_pred
+    return (hidden, *_heads(model, hidden))
 
 
-def _head_backward_batch(w_out, b_out, pre1, hidden, inputs, targets):
-    w_out64 = w_out.astype(np.float64)
-    pre_out = w_out64 @ hidden + b_out.astype(np.float64)[:, None]
-    pred = relu(pre_out)
-    diff = pred - targets
+def _head_backward_batch(model: Model, head: str, pre1, hidden, inputs, targets):
+    """Loss and gradients of one head ("txt" or "vis") over {w_hid, b_hid, w_head, b_head}."""
+    w_out64, pre_out = _head(model, head, hidden)
+    diff = relu(pre_out) - targets
     loss = float(np.mean(diff * diff))
 
     delta_out = (2.0 / diff.size) * diff * (pre_out > 0)
-    g_w_out = delta_out @ hidden.T
-    g_b_out = delta_out.sum(axis=1)
     delta_hid = (w_out64.T @ delta_out) * (pre1 > 0)
-    g_w_hid = delta_hid @ inputs.T
-    g_b_hid = delta_hid.sum(axis=1)
-    return loss, g_w_hid, g_b_hid, g_w_out, g_b_out
+    return loss, {"w_hid": delta_hid @ inputs.T, "b_hid": delta_hid.sum(axis=1),
+                  f"w_{head}": delta_out @ hidden.T, f"b_{head}": delta_out.sum(axis=1)}
 
 
 def backward_text_batch(model: Model, inputs: np.ndarray, targets: np.ndarray):
     """Mean text loss and mean per-example gradients for a batch."""
-    pre1, hidden = hidden_batch(model, inputs)
-    loss, g_w_hid, g_b_hid, g_w_txt, g_b_txt = _head_backward_batch(
-        model.w_txt, model.b_txt, pre1, hidden, inputs, targets)
-    return loss, {"w_hid": g_w_hid, "b_hid": g_b_hid, "w_txt": g_w_txt, "b_txt": g_b_txt}
+    return _head_backward_batch(model, "txt", *hidden_batch(model, inputs), inputs, targets)
 
 
 def backward_visual_batch(model: Model, inputs: np.ndarray, targets: np.ndarray):
     """Mean visual loss and mean per-example gradients for a batch."""
-    pre1, hidden = hidden_batch(model, inputs)
-    loss, g_w_hid, g_b_hid, g_w_vis, g_b_vis = _head_backward_batch(
-        model.w_vis, model.b_vis, pre1, hidden, inputs, targets)
-    return loss, {"w_hid": g_w_hid, "b_hid": g_b_hid, "w_vis": g_w_vis, "b_vis": g_b_vis}
+    return _head_backward_batch(model, "vis", *hidden_batch(model, inputs), inputs, targets)
 
 
-def backward_joint_batch(model: Model, inputs: np.ndarray, text_targets: np.ndarray,
+def backward_joint_batch(model: Model, inputs: np.ndarray, text_targets: np.ndarray | None,
                          visual_targets: np.ndarray, text_weight: float):
     """Gradients of visual_loss + text_weight * text_loss over all parameters.
 
     The hidden layer is computed once and shared by both heads.  With
-    text_weight == 0 the text head is skipped entirely, so the shared-parameter
-    gradients are bitwise those of the visual branch alone.
+    text_weight == 0 the text head is skipped entirely (text_targets may be
+    None), so the shared-parameter gradients are bitwise those of the visual
+    branch alone.
     """
     pre1, hidden = hidden_batch(model, inputs)
-    loss_v, g_w_hid, g_b_hid, g_w_vis, g_b_vis = _head_backward_batch(
-        model.w_vis, model.b_vis, pre1, hidden, inputs, visual_targets)
-    grads = {"w_hid": g_w_hid, "b_hid": g_b_hid, "w_vis": g_w_vis, "b_vis": g_b_vis,
-             "w_txt": np.zeros_like(model.w_txt, dtype=np.float64),
-             "b_txt": np.zeros_like(model.b_txt, dtype=np.float64)}
-    loss_t = float("nan")
-    if text_weight != 0.0:
-        loss_t, tg_w_hid, tg_b_hid, tg_w_txt, tg_b_txt = _head_backward_batch(
-            model.w_txt, model.b_txt, pre1, hidden, inputs, text_targets)
-        grads["w_hid"] += text_weight * tg_w_hid
-        grads["b_hid"] += text_weight * tg_b_hid
-        grads["w_txt"] = text_weight * tg_w_txt
-        grads["b_txt"] = text_weight * tg_b_txt
+    loss_v, grads = _head_backward_batch(model, "vis", pre1, hidden, inputs, visual_targets)
+    if text_weight == 0.0:
+        grads["w_txt"] = np.zeros_like(model.w_txt, dtype=np.float64)
+        grads["b_txt"] = np.zeros_like(model.b_txt, dtype=np.float64)
+        return float("nan"), loss_v, grads
+    loss_t, text_grads = _head_backward_batch(model, "txt", pre1, hidden, inputs, text_targets)
+    grads["w_hid"] += text_weight * text_grads["w_hid"]
+    grads["b_hid"] += text_weight * text_grads["b_hid"]
+    grads["w_txt"] = text_weight * text_grads["w_txt"]
+    grads["b_txt"] = text_weight * text_grads["b_txt"]
     return loss_t, loss_v, grads
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .data import CaptionedImage
+from .data import CaptionedImage, write_csv
 from .nn import Model
 from .textvec import Vocabulary
 
@@ -107,12 +107,9 @@ class TrainHistory:
         def cell(x):
             return "" if x is None else repr(x)
 
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_HEADER)
-            for p in self.points:
-                writer.writerow([p.iteration, cell(p.train_loss_t), cell(p.train_loss_v),
-                                 cell(p.val_loss_t), cell(p.val_loss_v)])
+        write_csv(path, self.CSV_HEADER,
+                  ([p.iteration, cell(p.train_loss_t), cell(p.train_loss_v),
+                    cell(p.val_loss_t), cell(p.val_loss_v)] for p in self.points))
 
     @classmethod
     def from_csv(cls, path) -> "TrainHistory":
@@ -142,29 +139,6 @@ class TrainResult:
     text_steps: int
     wall_seconds: float
     stopped_early: bool
-
-
-@dataclass(frozen=True)
-class TrainTriple:
-    """One training instance: a visual target and an input/output caption pair."""
-
-    feature: np.ndarray
-    caption_in: str
-    caption_out: str
-
-
-def _uniform_pick(rng: np.random.Generator, n: int) -> int:
-    return min(int(rng.random() * n), n - 1)
-
-
-def sample_triple(instance: CaptionedImage, rng: np.random.Generator) -> TrainTriple:
-    """Draw the input and output captions independently and uniformly."""
-    n = len(instance.captions)
-    if n == 0:
-        raise ValueError("instance has no captions")
-    return TrainTriple(feature=instance.feature,
-                       caption_in=instance.captions[_uniform_pick(rng, n)],
-                       caption_out=instance.captions[_uniform_pick(rng, n)])
 
 
 def early_stop_check(history: TrainHistory, patience: int) -> tuple[bool, int]:
@@ -272,14 +246,27 @@ def _split_losses(model: Model, ds: EncodedDataset,
     return loss_t, loss_v
 
 
-_MODE_SL = "sl"
-_MODE_VISUAL = "visual"
-_MODE_AGGREGATED = "aggregated"
+def pick_captions(n_captions: np.ndarray,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Input and output caption index per image, drawn independently and uniformly
+    from each image's ``n_captions``."""
+    picks = rng.random((len(n_captions), 2))
+    in_pick = np.minimum((picks[:, 0] * n_captions).astype(np.int64), n_captions - 1)
+    out_pick = np.minimum((picks[:, 1] * n_captions).astype(np.int64), n_captions - 1)
+    return in_pick, out_pick
 
 
 def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
-                  config: TrainConfig, mode: str, text_weight: float = 1.0,
+                  config: TrainConfig, step, track_text: bool,
                   progress=None) -> TrainResult:
+    """The training loop shared by every strategy.
+
+    Each iteration draws a batch and its caption picks, then calls
+    ``step(rng, inputs, visual_targets, text_targets)``.  ``text_targets`` is a
+    thunk, so the text targets are built only on steps that use them.  The step
+    returns the losses of the branches it trained, keyed "visual"/"text", and
+    the Adam update to apply once they are all finite: (adam, params, grads).
+    """
     config.validate()
     if train.size == 0 or val.size == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -287,109 +274,59 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
         if ds.vocab_dim != model.vocab_dim or ds.visual_dim != model.visual_dim:
             raise ValueError(f"{name} set dims do not match the model")
 
-    track_text = model.has_text_branch and not (mode == _MODE_AGGREGATED and text_weight == 0.0)
     rng = np.random.default_rng(config.seed)
     sampler = _BatchSampler(train.size, config.batch_size, rng)
-
-    vis_params = {"w_hid": model.w_hid, "b_hid": model.b_hid,
-                  "w_vis": model.w_vis, "b_vis": model.b_vis}
-    if mode == _MODE_SL:
-        adam_visual = Adam(alpha=config.learning_rate)
-        adam_text = Adam(alpha=config.learning_rate)
-        txt_params = {"w_hid": model.w_hid, "b_hid": model.b_hid,
-                      "w_txt": model.w_txt, "b_txt": model.b_txt}
-    elif mode == _MODE_VISUAL:
-        adam_visual = Adam(alpha=config.learning_rate)
-    elif mode == _MODE_AGGREGATED:
-        adam_all = Adam(alpha=config.learning_rate)
-        all_params = model.params()
-    else:
-        raise ValueError(f"unknown training mode {mode!r}")
-
     history = TrainHistory()
-    best_snapshot = model.copy()
-    best_iteration = 0
+    best_snapshot: Model | None = None
 
-    def evaluate_point(iteration: int) -> None:
-        nonlocal best_snapshot, best_iteration
+    def evaluate_point(iteration: int) -> bool:
+        """Record the split losses, keep the model if it is the best so far,
+        and say whether to stop early."""
+        nonlocal best_snapshot
         tr_t, tr_v = _split_losses(model, train, track_text)
         va_t, va_v = _split_losses(model, val, track_text)
         history.points.append(HistoryPoint(iteration, tr_t, tr_v, va_t, va_v))
-        best_before = min(p.val_loss_v for p in history.points[:-1]) if len(history.points) > 1 else None
-        if best_before is None or va_v < best_before:
+        stop, best_iteration = early_stop_check(history, config.patience)
+        if best_iteration == iteration:
             best_snapshot = model.copy()
-            best_iteration = iteration
         if progress is not None:
             progress(history.points[-1])
+        return stop
 
     evaluate_point(0)
-    visual_steps = 0
-    text_steps = 0
+    steps = {"visual": 0, "text": 0}
     iterations_run = 0
     stopped_early = False
     started = time.perf_counter()
 
     for iteration in range(1, config.max_iterations + 1):
         batch = sampler.next_batch()
-        picks = rng.random((len(batch), 2))
-        counts = train.n_captions[batch]
-        in_pick = np.minimum((picks[:, 0] * counts).astype(np.int64), counts - 1)
-        out_pick = np.minimum((picks[:, 1] * counts).astype(np.int64), counts - 1)
-        in_cols = [train.caption_indices[i][p] for i, p in zip(batch, in_pick)]
-        inputs = _bow_matrix(in_cols, train.vocab_dim)
-
-        if mode == _MODE_SL:
-            if rng.random() < config.sl_prob_visual:
-                loss, grads = nn.backward_visual_batch(model, inputs,
-                                                       train.features[batch].T)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"visual loss is {loss} at iteration {iteration}")
-                adam_visual.step(vis_params, grads)
-                visual_steps += 1
-            else:
-                out_cols = [train.caption_indices[i][p] for i, p in zip(batch, out_pick)]
-                targets = _bow_matrix(out_cols, train.vocab_dim)
-                loss, grads = nn.backward_text_batch(model, inputs, targets)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"text loss is {loss} at iteration {iteration}")
-                adam_text.step(txt_params, grads)
-                text_steps += 1
-        elif mode == _MODE_VISUAL:
-            loss, grads = nn.backward_visual_batch(model, inputs, train.features[batch].T)
+        in_pick, out_pick = pick_captions(train.n_captions[batch], rng)
+        inputs = _bow_matrix([train.caption_indices[i][p] for i, p in zip(batch, in_pick)],
+                             train.vocab_dim)
+        losses, adam, params, grads = step(
+            rng, inputs, train.features[batch].T,
+            lambda: _bow_matrix([train.caption_indices[i][p] for i, p in zip(batch, out_pick)],
+                                train.vocab_dim))
+        for branch, loss in losses.items():
             if not np.isfinite(loss):
-                raise TrainingDiverged(f"visual loss is {loss} at iteration {iteration}")
-            adam_visual.step(vis_params, grads)
-            visual_steps += 1
-        else:  # aggregated
-            out_cols = [train.caption_indices[i][p] for i, p in zip(batch, out_pick)]
-            targets = _bow_matrix(out_cols, train.vocab_dim)
-            loss_t, loss_v, grads = nn.backward_joint_batch(
-                model, inputs, targets, train.features[batch].T, text_weight)
-            if not np.isfinite(loss_v) or (text_weight != 0.0 and not np.isfinite(loss_t)):
-                raise TrainingDiverged(
-                    f"aggregated loss is non-finite at iteration {iteration} "
-                    f"(visual={loss_v}, text={loss_t})")
-            adam_all.step(all_params, grads)
-            visual_steps += 1
-            if text_weight != 0.0:
-                text_steps += 1
+                raise TrainingDiverged(f"{branch} loss is {loss} at iteration {iteration}")
+        adam.step(params, grads)
+        for branch in losses:
+            steps[branch] += 1
 
         iterations_run = iteration
-        if iteration % config.eval_every == 0:
-            evaluate_point(iteration)
-            stop, _ = early_stop_check(history, config.patience)
-            if stop:
-                stopped_early = True
-                break
+        if iteration % config.eval_every == 0 and evaluate_point(iteration):
+            stopped_early = True
+            break
 
     wall = time.perf_counter() - started
+    _, best_iteration = early_stop_check(history, config.patience)
     best_val = min(p.val_loss_v for p in history.points)
     return TrainResult(model=best_snapshot, history=history,
                        best_iteration=best_iteration, best_val_loss_v=best_val,
-                       iterations_run=iterations_run, visual_steps=visual_steps,
-                       text_steps=text_steps, wall_seconds=wall,
+                       iterations_run=iterations_run, visual_steps=steps["visual"],
+                       text_steps=steps["text"], wall_seconds=wall,
                        stopped_early=stopped_early)
 
 
@@ -399,7 +336,19 @@ def sl_train(train: EncodedDataset, val: EncodedDataset, model: Model,
     P(visual) = sl_prob_visual and update only that branch with its own Adam."""
     if not model.has_text_branch:
         raise ValueError("stochastic-loss training needs the text branch")
-    return _run_training(train, val, model, config, _MODE_SL, progress=progress)
+    adam_visual = Adam(alpha=config.learning_rate)
+    adam_text = Adam(alpha=config.learning_rate)
+    vis_params, txt_params = model.branch_params("vis"), model.branch_params("txt")
+
+    def step(rng, inputs, visual_targets, text_targets):
+        if rng.random() < config.sl_prob_visual:
+            loss, grads = nn.backward_visual_batch(model, inputs, visual_targets)
+            return {"visual": loss}, adam_visual, vis_params, grads
+        loss, grads = nn.backward_text_batch(model, inputs, text_targets())
+        return {"text": loss}, adam_text, txt_params, grads
+
+    return _run_training(train, val, model, config, step, track_text=True,
+                         progress=progress)
 
 
 def aggregated_train(train: EncodedDataset, val: EncodedDataset, model: Model,
@@ -408,11 +357,30 @@ def aggregated_train(train: EncodedDataset, val: EncodedDataset, model: Model,
     """Single Adam over all parameters minimizing visual + text_weight * text loss."""
     if not model.has_text_branch:
         raise ValueError("aggregated training needs the text branch")
-    return _run_training(train, val, model, config, _MODE_AGGREGATED,
-                         text_weight=text_weight, progress=progress)
+    adam = Adam(alpha=config.learning_rate)
+    params = model.params()
+
+    def step(rng, inputs, visual_targets, text_targets):
+        with_text = text_weight != 0.0
+        loss_t, loss_v, grads = nn.backward_joint_batch(
+            model, inputs, text_targets() if with_text else None, visual_targets,
+            text_weight)
+        losses = {"visual": loss_v, "text": loss_t} if with_text else {"visual": loss_v}
+        return losses, adam, params, grads
+
+    return _run_training(train, val, model, config, step,
+                         track_text=text_weight != 0.0, progress=progress)
 
 
 def visreg_train(train: EncodedDataset, val: EncodedDataset, model: Model,
                  config: TrainConfig, progress=None) -> TrainResult:
     """Visual branch only; any text head is left untouched."""
-    return _run_training(train, val, model, config, _MODE_VISUAL, progress=progress)
+    adam = Adam(alpha=config.learning_rate)
+    params = model.branch_params("vis")
+
+    def step(rng, inputs, visual_targets, text_targets):
+        loss, grads = nn.backward_visual_batch(model, inputs, visual_targets)
+        return {"visual": loss}, adam, params, grads
+
+    return _run_training(train, val, model, config, step,
+                         track_text=model.has_text_branch, progress=progress)

@@ -233,8 +233,3 @@ def build_vocabulary(corpus: Iterable[Sequence[Token]], mode: str,
     return Vocabulary(kept, mode,
                       min_caption_freq_unigram=min_caption_freq_unigram,
                       min_caption_freq_ngram=min_caption_freq_ngram)
-
-
-def encode_bow(terms: Iterable[str], vocab: Vocabulary) -> BowVector:
-    """Function form of Vocabulary.encode_terms."""
-    return vocab.encode_terms(terms)

@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from text2vis import evaluation, nn, optim, retrieval, textvec
+from text2vis import evaluation, nn, optim, retrieval
 from text2vis.cli import main
 from text2vis.nn import Model
 from text2vis.textvec import BowVector
@@ -229,40 +229,13 @@ def test_c05_retrieval_matches_brute_force():
 # 6. end-to-end ordering on the synthetic dataset
 # ---------------------------------------------------------------------------
 
-def _evaluation_setup(synth_splits, synth_vocab, p=25, seed=0):
-    test = synth_splits.test
-    index = retrieval.build_index([im.image_id for im in test],
-                                  np.stack([im.feature for im in test]))
-    features = {im.image_id: im.feature for im in test}
-    toks = {im.image_id: [tuple(t.surface for t in textvec.tokenize(c))
-                          for c in im.captions] for im in test}
-    queries = [evaluation.Query(im.image_id, im.captions[0], toks[im.image_id][0])
-               for im in test]
-    rng = np.random.default_rng(seed)
-
-    def model_method(model):
-        def rank(q):
-            pred = nn.forward(model, synth_vocab.encode_text(q.text)).visual_pred
-            return retrieval.query(index, pred, p, exclude_id=q.image_id)
-        return rank
-
-    def vissim(q):
-        return evaluation.vissim_ranking(index, features[q.image_id], q.image_id, p)
-
-    def rrank(q):
-        pool = index.ids[index.ids != q.image_id]
-        return evaluation.rrank_ranking(pool, rng, k=min(p, len(pool)))
-
-    return queries, toks, model_method, vissim, rrank
-
-
 def test_c06_synthetic_ordering(training_runs, synth_splits, synth_vocab):
     run = training_runs[("sl", 0)]
-    queries, toks, model_method, vissim, rrank = _evaluation_setup(
-        synth_splits, synth_vocab)
-    report = evaluation.evaluate(
-        {"text2vis": model_method(run.model), "vissim": vissim, "rrank": rrank},
-        queries, toks, p=25)
+    test = synth_splits.test
+    queries, toks = evaluation.collection_queries(test)
+    methods = evaluation.rank_functions(["text2vis", "vissim", "rrank"], test,
+                                        synth_vocab, lambda name: run.model, p=25, seed=0)
+    report = evaluation.evaluate(methods, queries, toks, p=25)
     win_vs_rrank = report.win_rate("text2vis", "rrank")
     means = {m: report.mean_dcg(m) for m in report.methods}
     ok = (run.iterations_run <= 30_000 and run.wall_seconds < 600

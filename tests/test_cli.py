@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from text2vis import data, nn
+from text2vis import data, evaluation, nn, textvec
 from text2vis.cli import main
 
 
@@ -33,6 +33,13 @@ def workspace(tmp_path_factory):
 
 def run_ok(argv):
     assert main(argv) == 0
+
+
+def fresh_checkpoint(path, vocab_dim, visual_dim=16):
+    """An untrained model: zero biases, so a fully out-of-vocabulary query
+    predicts the zero vector."""
+    nn.save_checkpoint(nn.init_model(vocab_dim, 8, visual_dim, seed=0), path)
+    return path
 
 
 class TestGenSynth:
@@ -185,6 +192,41 @@ class TestEval:
         assert mean_of(tmp_path / "incl") > mean_of(tmp_path / "excl")
 
 
+    def test_checkpoint_vocab_mismatch_fails(self, workspace, tmp_path, capsys):
+        root, common = workspace
+        wrong = fresh_checkpoint(tmp_path / "wrong.t2vm", vocab_dim=3)
+        code = main(["eval", *common, "--methods", "vissim,text2vis",
+                     "--checkpoint", f"text2vis={wrong}", "--val-frac", "0.2",
+                     "--test-frac", "0.2", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "does not match checkpoint vocab dim" in capsys.readouterr().err
+
+    def test_oov_queries_on_fresh_model(self, workspace, tmp_path):
+        root, common = workspace
+        # none of the captions uses this term: every query is fully out-of-vocabulary
+        vocab = tmp_path / "oov_vocab.txt"
+        textvec.Vocabulary(["zzyzxq"], textvec.MODE_UNIGRAM).save(vocab)
+        fresh = fresh_checkpoint(tmp_path / "fresh.t2vm", vocab_dim=1)
+        out = tmp_path / "eval_oov"
+        run_ok(["eval", "--captions", str(root / "ds" / "captions.json"),
+                "--features", str(root / "ds" / "features.t2vf"), "--vocab", str(vocab),
+                "--methods", "text2vis", "--checkpoint", f"text2vis={fresh}",
+                "--split", "all", "--out", str(out)])
+        with open(out / "per_query.csv", newline="") as fh:
+            got = {int(r["query_id"]): float(r["dcg"]) for r in csv.DictReader(fh)}
+        # each zero prediction ranks all other images by ascending id
+        images = data.join_captions_features(
+            data.load_captions(root / "ds" / "captions.json"),
+            *data.load_features(root / "ds" / "features.t2vf"))
+        queries, toks = evaluation.collection_queries(images)
+        ids = sorted(toks)
+        assert len(got) == len(queries) == 120
+        for q in queries:
+            ranked = [i for i in ids if i != q.image_id][:25]
+            want = evaluation.dcg([evaluation.relevance(q.tokens, toks[i]) for i in ranked])
+            assert got[q.image_id] == pytest.approx(want, abs=1e-12)
+
+
 class TestSearch:
     def test_k_one_single_line(self, workspace, capsys):
         root, common = workspace
@@ -216,6 +258,19 @@ class TestSearch:
         captured = capsys.readouterr()
         assert "out-of-vocabulary" in captured.err
         assert len(captured.out.strip().splitlines()) == 3
+
+    def test_oov_query_on_fresh_model_ranks_by_id(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        vocab = textvec.Vocabulary.load(root / "vocab.txt")
+        fresh = fresh_checkpoint(tmp_path / "fresh.t2vm", vocab_dim=len(vocab))
+        run_ok(["search", "zzyzxq", "--checkpoint", str(fresh),
+                "--vocab", str(root / "vocab.txt"),
+                "--features", str(root / "ds" / "features.t2vf"), "--k", "3"])
+        ids, _ = data.load_features(root / "ds" / "features.t2vf")
+        captured = capsys.readouterr()
+        assert "out-of-vocabulary" in captured.err
+        assert captured.out.splitlines() == [
+            f"{rank:4d}. {i}  distance=1.000000" for rank, i in enumerate(sorted(ids)[:3], 1)]
 
 
 class TestConfigFile:

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from text2vis import evaluation
-from text2vis.evaluation import (EvalReport, Query, dcg, evaluate, lcs_length,
+from text2vis import evaluation, nn
+from text2vis.data import CaptionedImage
+from text2vis.evaluation import (EvalReport, Query, collection_queries, dcg, evaluate,
+                                 lcs_length, predict_and_rank, rank_functions,
                                  relevance, rouge_l, rrank_ranking, vissim_ranking)
 from text2vis.retrieval import build_index, query
+from text2vis.textvec import BowVector, Vocabulary
 
 
 class TestLcs:
@@ -162,6 +165,93 @@ class TestVisSim:
         idx = build_index([1, 2], np.array([[1.0, 0], [0, 1]]))
         got = query(idx, np.array([1.0, 0.0]), 2)
         assert got.ids()[0] == 1 and got.distances()[0] == 0.0
+
+    def test_none_keeps_self(self):
+        idx = build_index([1, 2], np.array([[1.0, 0], [0, 1]]))
+        got = vissim_ranking(idx, np.array([1.0, 0.0]), None, 2)
+        assert got.ids() == query(idx, np.array([1.0, 0.0]), 2).ids() == [1, 2]
+
+
+def one_hot_model(vocab=2, visual=2):
+    """Input term i lights hidden unit i, which predicts visual unit i."""
+    eye = np.eye(vocab, visual)
+    return nn.Model(w_hid=np.eye(vocab), b_hid=np.zeros(vocab), w_txt=None, b_txt=None,
+                    w_vis=eye.T.copy(), b_vis=np.zeros(visual))
+
+
+class TestPredictAndRank:
+    def setup_method(self):
+        self.idx = build_index([30, 10, 20], np.array([[0.0, 1], [1, 0], [1, 1]]))
+
+    def test_nonzero_prediction_is_exact_query(self):
+        model = one_hot_model()
+        got = predict_and_rank(model, BowVector(2, (0,)), self.idx, 3, exclude_id=20)
+        want = query(self.idx, nn.forward(model, BowVector(2, (0,))).visual_pred, 3,
+                     exclude_id=20)
+        assert got == want
+
+    def test_zero_prediction_ties_every_candidate(self):
+        got = predict_and_rank(one_hot_model(), BowVector(2, ()), self.idx, 5)
+        assert got.ids() == [10, 20, 30] and got.distances() == [1.0, 1.0, 1.0]
+
+    def test_zero_prediction_respects_exclusion_and_k(self):
+        got = predict_and_rank(one_hot_model(), BowVector(2, ()), self.idx, 1,
+                               exclude_id=10)
+        assert got.ids() == [20] and got.query_id == 10
+
+    def test_zero_prediction_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="k must be"):
+            predict_and_rank(one_hot_model(), BowVector(2, ()), self.idx, 0)
+
+
+class TestRankFunctions:
+    def setup_method(self):
+        self.collection = [
+            CaptionedImage(1, ["a red bus", "a bus"], np.array([1.0, 0.0])),
+            CaptionedImage(2, ["a blue car"], np.array([0.9, 0.1])),
+            CaptionedImage(3, ["green car"], np.array([0.0, 1.0]))]
+        self.vocab = Vocabulary(["bus", "car"], "unigram")
+
+    def rank(self, names, **kw):
+        return rank_functions(names, self.collection, self.vocab,
+                              lambda name: one_hot_model(), p=3, **kw)
+
+    def test_queries_are_first_captions(self):
+        queries, toks = collection_queries(self.collection)
+        assert [(q.image_id, q.text, q.tokens) for q in queries] == [
+            (1, "a red bus", ("a", "red", "bus")), (2, "a blue car", ("a", "blue", "car")),
+            (3, "green car", ("green", "car"))]
+        assert toks[1] == [("a", "red", "bus"), ("a", "bus")]
+
+    def test_methods_in_requested_order(self):
+        assert list(self.rank(["rrank", "vissim", "text2vis", "visreg"])) == [
+            "rrank", "vissim", "text2vis", "visreg"]
+
+    def test_model_method_gets_its_own_model(self):
+        asked = []
+        rank_functions(["visreg", "text2vis"], self.collection, self.vocab,
+                       lambda name: asked.append(name) or one_hot_model())
+        assert asked == ["visreg", "text2vis"]
+
+    def test_self_excluded_unless_included(self):
+        queries, _ = collection_queries(self.collection)
+        for include_self in (False, True):
+            for name, fn in self.rank(["text2vis", "vissim", "rrank"],
+                                      include_self=include_self).items():
+                ids = fn(queries[0]).ids()
+                assert (1 in ids) == include_self, name
+                assert len(ids) == 3 - (not include_self), name
+
+    def test_vissim_ranks_by_own_feature(self):
+        queries, _ = collection_queries(self.collection)
+        vissim = self.rank(["vissim"], include_self=True)["vissim"]
+        assert vissim(queries[0]).ids() == [1, 2, 3]
+
+    def test_unknown_and_empty_rejected(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            self.rank(["vissim", "bogus"])
+        with pytest.raises(ValueError, match="no methods"):
+            self.rank([])
 
 
 def constant_method(ranking):

@@ -8,7 +8,7 @@ from text2vis import data, nn, optim, textvec
 from text2vis.data import CaptionedImage
 from text2vis.optim import (Adam, TrainConfig, TrainHistory, HistoryPoint,
                             TrainingDiverged, aggregated_train, early_stop_check,
-                            encode_dataset, sample_triple, sl_train, visreg_train)
+                            encode_dataset, pick_captions, sl_train, visreg_train)
 
 
 class TestAdam:
@@ -73,12 +73,19 @@ class TestAdam:
 
 
 class TestSampleTriple:
+    """pick_captions: the input and output captions of a training triple."""
+
+    @staticmethod
+    def sample(img, rng):
+        in_pick, out_pick = pick_captions(np.array([len(img.captions)]), rng)
+        return img.captions[in_pick[0]], img.captions[out_pick[0]]
+
     def test_single_caption_forced(self):
         img = CaptionedImage(1, ["only"], np.ones(4, dtype=np.float32))
         rng = np.random.default_rng(0)
         for _ in range(10):
-            triple = sample_triple(img, rng)
-            assert triple.caption_in == triple.caption_out == "only"
+            caption_in, caption_out = self.sample(img, rng)
+            assert caption_in == caption_out == "only"
 
     def test_pair_uniformity_chi_square(self):
         img = CaptionedImage(1, [f"c{i}" for i in range(5)], np.ones(2, dtype=np.float32))
@@ -86,8 +93,8 @@ class TestSampleTriple:
         counts = np.zeros((5, 5))
         draws = 100_000
         for _ in range(draws):
-            t = sample_triple(img, rng)
-            counts[int(t.caption_in[1]), int(t.caption_out[1])] += 1
+            caption_in, caption_out = self.sample(img, rng)
+            counts[int(caption_in[1]), int(caption_out[1])] += 1
         expected = draws / 25
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert stats.chi2.sf(chi2, df=24) > 0.001
@@ -97,14 +104,13 @@ class TestSampleTriple:
         rng = np.random.default_rng(7)
         draws = 100_000
         hits = sum(1 for _ in range(draws)
-                   if (t := sample_triple(img, rng)).caption_in == t.caption_out)
+                   if (pair := self.sample(img, rng))[0] == pair[1])
         assert abs(hits / draws - 0.2) <= 0.2 * 0.02  # within 2% of 1/5
 
     def test_empty_captions_rejected(self):
-        img = CaptionedImage.__new__(CaptionedImage)
-        img.image_id, img.captions, img.feature = 1, [], np.ones(2)
+        # an image without captions cannot exist, so there is never nothing to pick
         with pytest.raises(ValueError):
-            sample_triple(img, np.random.default_rng(0))
+            CaptionedImage(1, [], np.ones(2))
 
 
 def history_from_vals(vals):

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from text2vis import textvec
 from text2vis.textvec import (BowVector, Token, Vocabulary, build_vocabulary,
-                              caption_terms, encode_bow, extract_ngrams,
+                              caption_terms, extract_ngrams,
                               load_lexicon, pos_tag, tokenize)
 
 
@@ -194,25 +194,27 @@ class TestBuildVocabulary:
 
 
 class TestEncodeBow:
+    """Vocabulary.encode_terms: terms to a binary bag-of-words vector."""
+
     @pytest.fixture
     def vocab(self):
         return Vocabulary(["a", "cat", "dog"], textvec.MODE_UNIGRAM)
 
     def test_direct(self, vocab):
-        assert encode_bow(["a", "dog"], vocab).on_indices == (0, 2)
+        assert vocab.encode_terms(["a", "dog"]).on_indices == (0, 2)
 
     def test_all_oov(self, vocab):
-        assert encode_bow(["unicorn"], vocab).on_indices == ()
+        assert vocab.encode_terms(["unicorn"]).on_indices == ()
 
     def test_binary_not_counts(self, vocab):
-        assert encode_bow(["dog", "dog"], vocab).on_indices == (2,)
+        assert vocab.encode_terms(["dog", "dog"]).on_indices == (2,)
 
     def test_encode_text_pipeline(self, vocab):
         assert vocab.encode_text("A dog!").on_indices == (0, 2)
 
     @given(st.lists(st.sampled_from(["a", "cat", "dog", "pony", "x"]), max_size=8))
     def test_indices_sorted_and_in_range(self, terms):
-        bow = encode_bow(terms, Vocabulary(["a", "cat", "dog"], textvec.MODE_UNIGRAM))
+        bow = Vocabulary(["a", "cat", "dog"], textvec.MODE_UNIGRAM).encode_terms(terms)
         assert list(bow.on_indices) == sorted(set(bow.on_indices))
         assert all(0 <= i < bow.dim for i in bow.on_indices)
 
