@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, evaluation, nn, optim, retrieval, textvec
+from .atomic import atomic_write
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -51,7 +52,7 @@ def _require(cfg: dict, *keys: str) -> None:
 def _echo_config(out_dir: Path, command: str, cfg: dict) -> None:
     doc = {"command": command}
     doc.update(cfg)
-    with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -106,7 +107,7 @@ def cmd_gen_synth(args) -> int:
     data.save_features(out_dir / "features.t2vf",
                        [img.image_id for img in images],
                        np.stack([img.feature for img in images]))
-    with open(out_dir / "ground_truth.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "ground_truth.json", "w", encoding="utf-8") as fh:
         json.dump(truth.to_json(), fh)
         fh.write("\n")
     _echo_config(out_dir, "gen-synth", cfg)

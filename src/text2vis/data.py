@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .textvec import default_lexicon
 
 FEATURE_MAGIC = b"T2VF"
@@ -81,14 +82,14 @@ def load_captions(path) -> list[tuple[int, list[str]]]:
 
 def save_captions(path, records: list[tuple[int, list[str]]]) -> None:
     doc = [{"id": image_id, "captions": captions} for image_id, captions in records]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def write_csv(path, header: list[str], rows) -> None:
     """A UTF-8 CSV file: the header row, then the rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -106,7 +107,7 @@ def save_features(path, ids, matrix) -> None:
         raise ValueError("image ids must be unique")
     if any(i < 0 or i > _MAX_U64 for i in ids):
         raise ValueError("image ids must fit in an unsigned 64-bit integer")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION,
                                       matrix.shape[0], matrix.shape[1]))
         fh.write(np.asarray(ids, dtype="<u8").tobytes())

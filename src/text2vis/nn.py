@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .textvec import BowVector
 
 CHECKPOINT_MAGIC = b"T2VM"
@@ -151,16 +152,11 @@ def _check_input_dim(model: Model, text_bow: BowVector) -> None:
 
 
 def forward(model: Model, text_bow: BowVector) -> ForwardResult:
-    """Run the net on one bag-of-words input; only the active columns of w_hid
-    are touched."""
+    """Run the net on one bag-of-words input: forward_batch on a batch of one."""
     _check_input_dim(model, text_bow)
-    pre = model.b_hid.astype(np.float64).copy()
-    if text_bow.on_indices:
-        idx = np.asarray(text_bow.on_indices, dtype=np.intp)
-        pre += model.w_hid[:, idx].astype(np.float64).sum(axis=1)
-    hidden = relu(pre)
-    text_recon, visual_pred = _heads(model, hidden[:, None])
-    return ForwardResult(hidden=hidden,
+    hidden, text_recon, visual_pred = forward_batch(
+        model, text_bow.to_dense(np.float64)[:, None])
+    return ForwardResult(hidden=hidden[:, 0],
                          text_recon=None if text_recon is None else text_recon[:, 0],
                          visual_pred=visual_pred[:, 0])
 
@@ -196,7 +192,13 @@ def backward_visual(model: Model, text_bow: BowVector,
 # ---------------------------------------------------------------------------
 
 def hidden_batch(model: Model, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pre = model.w_hid.astype(np.float64) @ inputs + model.b_hid.astype(np.float64)[:, None]
+    """(pre-activation, activation) of the hidden layer for a [vocab x batch] input
+    matrix.  Only the vocabulary rows that are non-zero somewhere in the batch are
+    multiplied, and only their columns of w_hid are copied to float64: a zero row
+    adds nothing to any sum."""
+    active = np.flatnonzero(inputs.any(axis=1))
+    pre = (model.w_hid[:, active].astype(np.float64) @ inputs[active]
+           + model.b_hid.astype(np.float64)[:, None])
     return pre, relu(pre)
 
 
@@ -207,16 +209,11 @@ def _head(model: Model, head: str, hidden: np.ndarray) -> tuple[np.ndarray, np.n
     return w64, w64 @ hidden + getattr(model, f"b_{head}").astype(np.float64)[:, None]
 
 
-def _heads(model: Model, hidden: np.ndarray):
-    """(text_recon, visual_pred) for a [hidden x batch] activation matrix."""
-    text_recon = relu(_head(model, "txt", hidden)[1]) if model.has_text_branch else None
-    return text_recon, relu(_head(model, "vis", hidden)[1])
-
-
 def forward_batch(model: Model, inputs: np.ndarray):
     """(hidden, text_recon, visual_pred) for a [vocab x batch] input matrix."""
     _, hidden = hidden_batch(model, inputs)
-    return (hidden, *_heads(model, hidden))
+    text_recon = relu(_head(model, "txt", hidden)[1]) if model.has_text_branch else None
+    return hidden, text_recon, relu(_head(model, "vis", hidden)[1])
 
 
 def _head_backward_batch(model: Model, head: str, pre1, hidden, inputs, targets):
@@ -279,7 +276,7 @@ def save_checkpoint(model: Model, path) -> None:
     if model.has_text_branch:
         arrays += [model.w_txt, model.b_txt]
     arrays += [model.w_vis, model.b_vis]
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, flags,
                               model.vocab_dim, model.hidden_dim, model.visual_dim))
         for arr in arrays:

@@ -22,6 +22,11 @@ class TrainingDiverged(RuntimeError):
     """A training loss became non-finite."""
 
 
+# Elements per block of Adam's walk over a parameter: a block of the parameter,
+# its gradient, both moments and the two work arrays stays in the CPU cache.
+_ADAM_BLOCK = 1 << 14
+
+
 class Adam:
     """Adam with bias correction; moments are kept in float64 per parameter."""
 
@@ -40,27 +45,59 @@ class Adam:
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """One update, in place; parameter dtypes are preserved."""
+        """One update, in place; parameter dtypes are preserved.
+
+        Each parameter is walked in blocks of _ADAM_BLOCK elements.  A block
+        runs the operations of the textbook formula in its order,
+            m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            p = p - alpha*(m/bc1) / (sqrt(v/bc2) + eps)
+        so the result is bitwise that formula's, but no array the size of a
+        parameter is allocated.  Every argument is checked before any
+        parameter is touched.
+        """
         if set(params) != set(grads):
             raise ValueError("parameter and gradient keys differ")
         for name, g in grads.items():
             if not np.isfinite(g).all():
                 raise ValueError(f"non-finite gradient for {name!r}")
+            p = params[name]
+            if np.shape(g) != p.shape:
+                raise ValueError(
+                    f"gradient shape {np.shape(g)} does not match {name!r} shape {p.shape}")
+            if not p.flags.c_contiguous:
+                raise ValueError(f"parameter {name!r} is not C-contiguous; "
+                                 "it cannot be updated in place")
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.step_count
+        bc2 = 1.0 - b2 ** self.step_count
+        a = np.empty(_ADAM_BLOCK)
+        b = np.empty(_ADAM_BLOCK)
         for name, p in params.items():
-            g = np.asarray(grads[name], dtype=np.float64)
-            m = self._m.get(name)
-            if m is None:
-                m = np.zeros(p.shape, dtype=np.float64)
+            if name not in self._m:
+                self._m[name] = np.zeros(p.shape, dtype=np.float64)
                 self._v[name] = np.zeros(p.shape, dtype=np.float64)
-            v = self._v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self._m[name], self._v[name] = m, v
-            step = self.alpha * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
-            p[...] = p.astype(np.float64) - step
+            g = np.asarray(grads[name], dtype=np.float64).reshape(-1)
+            m, v, flat = self._m[name].reshape(-1), self._v[name].reshape(-1), p.reshape(-1)
+            for start in range(0, flat.size, _ADAM_BLOCK):
+                block = slice(start, start + _ADAM_BLOCK)
+                gb, mb, vb, pb = g[block], m[block], v[block], flat[block]
+                ab, bb = a[:gb.size], b[:gb.size]
+                mb *= b1
+                np.multiply(gb, 1.0 - b1, out=ab)
+                mb += ab
+                vb *= b2
+                np.multiply(gb, gb, out=ab)
+                ab *= 1.0 - b2
+                vb += ab
+                np.divide(mb, bc1, out=ab)
+                ab *= self.alpha
+                np.divide(vb, bc2, out=bb)
+                np.sqrt(bb, out=bb)
+                bb += self.epsilon
+                ab /= bb
+                np.subtract(pb, ab, out=ab)
+                pb[...] = ab
 
 
 @dataclass

@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
+
 MODE_UNIGRAM = "unigram"
 MODE_NGRAM = "ngram"
 MODES = (MODE_UNIGRAM, MODE_NGRAM)
@@ -189,7 +191,7 @@ class Vocabulary:
 
     def save(self, path) -> None:
         """One term per line; the line number is the term's index."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             for term in self.terms:
                 fh.write(term + "\n")
 

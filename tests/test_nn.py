@@ -112,6 +112,35 @@ class TestForward:
         assert forward(m, BowVector(4, (1,))).text_recon is None
 
 
+class TestHiddenBatch:
+    """hidden_batch multiplies only the active vocabulary rows; the dense
+    product is the reference it must match bit for bit."""
+
+    @staticmethod
+    def assert_matches_dense(m, inputs):
+        pre, hidden = nn.hidden_batch(m, inputs)
+        ref = m.w_hid.astype(np.float64) @ inputs + m.b_hid.astype(np.float64)[:, None]
+        assert pre.shape == ref.shape and pre.tobytes() == ref.tobytes()
+        assert hidden.tobytes() == relu(ref).tobytes()
+
+    def test_binary_batch_with_out_of_vocabulary_caption(self):
+        rng = np.random.default_rng(8)
+        m = toy_model(rng, vocab=300, hidden=16, visual=5, dtype=np.float32)
+        inputs = (rng.random((300, 7)) < 0.03).astype(np.float64)
+        inputs[:, 2] = 0.0
+        assert inputs.any(axis=0).sum() == 6
+        self.assert_matches_dense(m, inputs)
+
+    def test_all_zero_batch(self):
+        m = toy_model(np.random.default_rng(9), vocab=30, hidden=8, dtype=np.float32)
+        self.assert_matches_dense(m, np.zeros((30, 4)))
+
+    def test_dense_real_valued_inputs(self):
+        rng = np.random.default_rng(10)
+        m = toy_model(rng, vocab=40, hidden=8, dtype=np.float32)
+        self.assert_matches_dense(m, rng.normal(size=(40, 5)))
+
+
 class TestMse:
     def test_identity(self):
         assert mse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0

@@ -71,6 +71,55 @@ class TestAdam:
         adam.step(p, {"x": np.ones(3)})
         assert p["x"].dtype == np.float32
 
+    def test_non_contiguous_param_rejected(self):
+        # reshape(-1) of a transposed view is a copy, so an in-place update
+        # of it would be lost.
+        adam = Adam()
+        base = np.arange(12.0).reshape(3, 4)
+        p = {"ok": np.zeros(2), "x": base.T}
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam.step(p, {"ok": np.ones(2), "x": np.ones((4, 3))})
+        assert base.tolist() == np.arange(12.0).reshape(3, 4).tolist()
+        assert p["ok"].tolist() == [0.0, 0.0] and adam.step_count == 0
+
+    def test_gradient_shape_mismatch_rejected(self):
+        adam = Adam()
+        p = {"ok": np.zeros(2), "x": np.zeros((2, 3))}
+        with pytest.raises(ValueError, match="shape"):
+            adam.step(p, {"ok": np.ones(2), "x": np.ones(6)})
+        assert p["ok"].tolist() == [0.0, 0.0] and adam.step_count == 0
+
+    def test_bitwise_equal_to_textbook_formula(self):
+        # Sizes leave a partial last block; gradients are mostly zero, as the
+        # w_hid gradient of a bag-of-words batch is.
+        size = 3 * optim._ADAM_BLOCK + 7
+        rng = np.random.default_rng(5)
+        params = {"w32": rng.normal(size=size).astype(np.float32),
+                  "w64": rng.normal(size=size)}
+        ref = {name: (p.copy(), np.zeros(size), np.zeros(size)) for name, p in params.items()}
+        adam = Adam(alpha=0.01)
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=size) * (rng.random(size) < 0.02)
+                     for name in params}
+            adam.step(params, grads)
+            for name, g in grads.items():
+                ref[name] = textbook_adam(*ref[name], g, t, alpha=0.01)
+                p_ref, m_ref, v_ref = ref[name]
+                assert params[name].dtype == p_ref.dtype
+                assert params[name].tobytes() == p_ref.tobytes()
+                assert adam._m[name].tobytes() == m_ref.tobytes()
+                assert adam._v[name].tobytes() == v_ref.tobytes()
+
+
+def textbook_adam(p, m, v, g, t, alpha=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """One whole-array Adam step: the reference Adam.step must match bit for bit."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    step = alpha * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + epsilon)
+    p_new = np.empty_like(p)
+    p_new[...] = p.astype(np.float64) - step
+    return p_new, m, v
+
 
 class TestSampleTriple:
     """pick_captions: the input and output captions of a training triple."""
