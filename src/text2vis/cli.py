@@ -1,8 +1,11 @@
 """Command-line pipeline: gen-synth, build-vocab, train, eval, search.
 
-Every flag can also come from a JSON config file (--config); explicit flags
-win.  Commands that create a run directory echo the fully resolved config
-into <out>/config.json so runs are reproducible.
+Each command's flags are declared once, as a table of `Flag`s in COMMANDS;
+the argparse parser, config-file resolution and the echoed config all come
+from it.  Every flag can also come from a JSON config file (--config) under
+its key; explicit flags win, and a file value is checked against the flag's
+type and choices.  Commands that create a run directory echo the fully
+resolved config into <out>/config.json so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -19,41 +23,84 @@ from . import data, evaluation, nn, optim, retrieval, textvec
 from .atomic import atomic_write
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+@dataclass(frozen=True)
+class Flag:
+    """One option of a command.  Its type comes from its default: int, float,
+    bool (a switch that sets True), or a string when the default is None; such
+    a flag is required unless it repeats."""
+
+    key: str  # the config key and the name in the resolved config
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+    name: str | None = None  # the flag, when it is not the key with dashes
+    repeat: bool = False  # each use appends one string to a list
+
+    @property
+    def kind(self) -> type:
+        return str if self.default is None else type(self.default)
+
+    @property
+    def flag(self) -> str:
+        return "--" + (self.name or self.key.replace("_", "-"))
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        """Add the flag with default None, so an unset flag is told from a set one."""
+        if self.kind is bool:
+            action = dict(action="store_const", const=True)
+        elif self.repeat:
+            action = dict(action="append")
+        else:
+            action = dict(type=self.kind, choices=self.choices)
+        parser.add_argument(self.flag, dest=self.key, help=self.help, **action)
+
+    def check(self, value, source):
+        """A config-file value, held to the type and choices argparse enforces
+        on the flag.  null leaves a flag without a default unset."""
+        if value is None and self.default is None:
+            return None
+        if self.repeat:
+            ok = isinstance(value, list) and all(type(v) is str for v in value)
+            want = "a list of strings"
+        elif self.choices:
+            ok, want = value in self.choices, f"one of {', '.join(self.choices)}"
+        else:  # an int is a number, but a bool is not an int
+            ok = type(value) in ((int, float) if self.kind is float else (self.kind,))
+            want = f"of type {self.kind.__name__}"
+        if not ok:
+            raise ValueError(f"{source}: config key {self.key!r} must be {want}, got {value!r}")
+        return float(value) if self.kind is float else value
+
+
+def _resolve(args: argparse.Namespace) -> dict:
     """Merge CLI values over config-file values over defaults."""
+    flags = COMMANDS[args.command][1]
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: config file must hold a JSON object")
         file_cfg = {str(k).replace("-", "_"): v for k, v in raw.items()}
-    unknown = set(file_cfg) - set(defaults)
+    unknown = set(file_cfg) - {flag.key for flag in flags}
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     resolved = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
+    for flag in flags:
+        if getattr(args, flag.key) is not None:
+            resolved[flag.key] = getattr(args, flag.key)
+        elif flag.key in file_cfg:
+            resolved[flag.key] = flag.check(file_cfg[flag.key], args.config)
         else:
-            resolved[key] = default
+            resolved[flag.key] = flag.default
+        if resolved[flag.key] is None and not flag.repeat:
+            raise ValueError(f"missing required option {flag.flag}")
     return resolved
 
 
-def _require(cfg: dict, *keys: str) -> None:
-    for key in keys:
-        if cfg[key] is None:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
-
-
 def _echo_config(out_dir: Path, command: str, cfg: dict) -> None:
-    doc = {"command": command}
-    doc.update(cfg)
     with atomic_write(out_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump({"command": command, **cfg}, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
@@ -83,14 +130,8 @@ def _split_for(cfg: dict, images: list[data.CaptionedImage]) -> data.DatasetSpli
 # gen-synth
 # ---------------------------------------------------------------------------
 
-_GEN_DEFAULTS = dict(out=None, seed=0, topics=10, vocab_size=200, visual_dim=64,
-                     images=2000, captions_per_image=5, caption_len_min=6,
-                     caption_len_max=12, topics_min=1, topics_max=3, noise_sigma=0.15)
-
-
 def cmd_gen_synth(args) -> int:
-    cfg = _resolve(args, _GEN_DEFAULTS)
-    _require(cfg, "out")
+    cfg = _resolve(args)
     synth = data.SynthConfig(
         num_topics=cfg["topics"], vocab_size=cfg["vocab_size"],
         visual_dim=cfg["visual_dim"], num_images=cfg["images"],
@@ -120,14 +161,8 @@ def cmd_gen_synth(args) -> int:
 # build-vocab
 # ---------------------------------------------------------------------------
 
-_VOCAB_DEFAULTS = dict(captions=None, mode=textvec.MODE_UNIGRAM, out=None,
-                       min_freq_unigram=textvec.DEFAULT_MIN_CAPTION_FREQ_UNIGRAM,
-                       min_freq_ngram=textvec.DEFAULT_MIN_CAPTION_FREQ_NGRAM)
-
-
 def cmd_build_vocab(args) -> int:
-    cfg = _resolve(args, _VOCAB_DEFAULTS)
-    _require(cfg, "captions", "out")
+    cfg = _resolve(args)
     records = data.load_captions(cfg["captions"])
     corpus = (textvec.tokenize(caption) for _, captions in records for caption in captions)
     vocab = textvec.build_vocabulary(
@@ -143,20 +178,10 @@ def cmd_build_vocab(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-_TRAIN_DEFAULTS = dict(captions=None, features=None, vocab=None, strategy="sl",
-                       lambda_text=1.0, sl_prob_visual=0.5, batch_size=100,
-                       max_iters=300_000, eval_every=500, patience=10, hidden=1024,
-                       seed=0, learning_rate=0.001, val_frac=0.1, test_frac=0.1,
-                       split_seed=0, out=None)
-
-
 def cmd_train(args) -> int:
-    cfg = _resolve(args, _TRAIN_DEFAULTS)
-    _require(cfg, "captions", "features", "vocab", "out")
+    cfg = _resolve(args)
     trainers = {"sl": optim.sl_train, "visreg": optim.visreg_train,
                 "aggregated": partial(optim.aggregated_train, text_weight=cfg["lambda_text"])}
-    if cfg["strategy"] not in trainers:
-        raise ValueError(f"unknown strategy {cfg['strategy']!r}")
 
     vocab = textvec.Vocabulary.load(cfg["vocab"])
     images = _load_dataset(cfg)
@@ -202,16 +227,8 @@ def cmd_train(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-_EVAL_DEFAULTS = dict(captions=None, features=None, vocab=None, methods="vissim,rrank",
-                      checkpoint=None, p=evaluation.DEFAULT_RANK_CUTOFF,
-                      beta=evaluation.DEFAULT_ROUGE_BETA, seed=0, val_frac=0.1,
-                      test_frac=0.1, split_seed=0, split="test", include_self=False,
-                      out=None)
-
-
 def cmd_eval(args) -> int:
-    cfg = _resolve(args, _EVAL_DEFAULTS)
-    _require(cfg, "captions", "features", "vocab", "out")
+    cfg = _resolve(args)
 
     checkpoints: dict[str, str] = {}
     for item in cfg["checkpoint"] or []:
@@ -225,11 +242,7 @@ def cmd_eval(args) -> int:
     if cfg["split"] == "all":
         collection = images
     else:
-        split = _split_for(cfg, images)
-        collection = {"train": split.train, "validation": split.validation,
-                      "test": split.test}.get(cfg["split"])
-        if collection is None:
-            raise ValueError(f"unknown split {cfg['split']!r}")
+        collection = getattr(_split_for(cfg, images), cfg["split"])
     if not collection:
         raise ValueError(f"split {cfg['split']!r} is empty")
 
@@ -268,20 +281,15 @@ def cmd_eval(args) -> int:
 # search
 # ---------------------------------------------------------------------------
 
-_SEARCH_DEFAULTS = dict(checkpoint=None, vocab=None, features=None, k=10)
-
-
 def cmd_search(args) -> int:
-    cfg = _resolve(args, _SEARCH_DEFAULTS)
-    cfg["query"] = " ".join(args.query)
-    _require(cfg, "checkpoint", "vocab", "features")
+    cfg = _resolve(args)
 
     vocab = textvec.Vocabulary.load(cfg["vocab"])
     model = _load_model(cfg["checkpoint"], vocab)
     ids, matrix = data.load_features(cfg["features"])
     index = retrieval.build_index(ids, matrix)
 
-    bow = vocab.encode_text(cfg["query"])
+    bow = vocab.encode_text(" ".join(args.query))
     if not bow.on_indices:
         print("warning: query is fully out-of-vocabulary; "
               "ranking from the bias-only representation", file=sys.stderr)
@@ -295,93 +303,56 @@ def cmd_search(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+_DATASET = (Flag("captions"), Flag("features"), Flag("vocab"))
+_SPLIT = (Flag("val_frac", 0.1), Flag("test_frac", 0.1), Flag("split_seed", 0))
+
+# Each command's help and flags; its function is cmd_<name>, dashes as underscores.
+COMMANDS = {
+    "gen-synth": ("generate a synthetic captioned dataset", (
+        Flag("out"), Flag("seed", 0), Flag("topics", 10), Flag("vocab_size", 200),
+        Flag("visual_dim", 64), Flag("images", 2000), Flag("captions_per_image", 5),
+        Flag("caption_len_min", 6), Flag("caption_len_max", 12), Flag("topics_min", 1),
+        Flag("topics_max", 3), Flag("noise_sigma", 0.15))),
+    "build-vocab": ("build a vocabulary from captions", (
+        Flag("captions"), Flag("mode", textvec.MODE_UNIGRAM, textvec.MODES), Flag("out"),
+        Flag("min_freq_unigram", textvec.DEFAULT_MIN_CAPTION_FREQ_UNIGRAM),
+        Flag("min_freq_ngram", textvec.DEFAULT_MIN_CAPTION_FREQ_NGRAM))),
+    "train": ("train a model", (
+        *_DATASET, Flag("strategy", "sl", ("sl", "aggregated", "visreg")),
+        Flag("lambda_text", 1.0, name="lambda",
+             help="text-loss weight for the aggregated strategy"),
+        Flag("sl_prob_visual", 0.5), Flag("batch_size", 100), Flag("max_iters", 300_000),
+        Flag("eval_every", 500), Flag("patience", 10), Flag("hidden", 1024),
+        Flag("seed", 0), Flag("learning_rate", 0.001), *_SPLIT, Flag("out"))),
+    "eval": ("compare retrieval methods", (
+        *_DATASET,
+        Flag("methods", "vissim,rrank", help="comma list from: text2vis, visreg, vissim, rrank"),
+        Flag("checkpoint", repeat=True, help="NAME=PATH, for the text2vis/visreg methods"),
+        Flag("p", evaluation.DEFAULT_RANK_CUTOFF), Flag("beta", evaluation.DEFAULT_ROUGE_BETA),
+        Flag("seed", 0), *_SPLIT, Flag("split", "test", ("train", "validation", "test", "all")),
+        Flag("include_self", False, help="keep the query's own image among the candidates"),
+        Flag("out"))),
+    "search": ("retrieve images for a text query", (
+        Flag("checkpoint"), Flag("vocab"), Flag("features"), Flag("k", 10))),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="text2vis",
         description="Map short texts into a visual feature space; search and "
                     "evaluate image retrieval.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config(p):
+    for command, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "search":
+            p.add_argument("query", nargs="+", help="the query text")
+        for flag in flags:
+            flag.add_to(p)
         p.add_argument("--config", help="JSON file of defaults; flags override")
-
-    p = sub.add_parser("gen-synth", help="generate a synthetic captioned dataset")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--topics", type=int)
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--visual-dim", type=int)
-    p.add_argument("--images", type=int)
-    p.add_argument("--captions-per-image", type=int)
-    p.add_argument("--caption-len-min", type=int)
-    p.add_argument("--caption-len-max", type=int)
-    p.add_argument("--topics-min", type=int)
-    p.add_argument("--topics-max", type=int)
-    p.add_argument("--noise-sigma", type=float)
-    add_config(p)
-    p.set_defaults(func=cmd_gen_synth)
-
-    p = sub.add_parser("build-vocab", help="build a vocabulary from captions")
-    p.add_argument("--captions")
-    p.add_argument("--mode", choices=[textvec.MODE_UNIGRAM, textvec.MODE_NGRAM])
-    p.add_argument("--out")
-    p.add_argument("--min-freq-unigram", type=int)
-    p.add_argument("--min-freq-ngram", type=int)
-    add_config(p)
-    p.set_defaults(func=cmd_build_vocab)
-
-    p = sub.add_parser("train", help="train a model")
-    p.add_argument("--captions")
-    p.add_argument("--features")
-    p.add_argument("--vocab")
-    p.add_argument("--strategy", choices=["sl", "aggregated", "visreg"])
-    p.add_argument("--lambda", dest="lambda_text", type=float,
-                   help="text-loss weight for the aggregated strategy")
-    p.add_argument("--sl-prob-visual", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--val-frac", type=float)
-    p.add_argument("--test-frac", type=float)
-    p.add_argument("--split-seed", type=int)
-    p.add_argument("--out")
-    add_config(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="compare retrieval methods")
-    p.add_argument("--captions")
-    p.add_argument("--features")
-    p.add_argument("--vocab")
-    p.add_argument("--methods",
-                   help="comma list from: text2vis, visreg, vissim, rrank")
-    p.add_argument("--checkpoint", action="append",
-                   help="NAME=PATH, for the text2vis/visreg methods")
-    p.add_argument("--p", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--val-frac", type=float)
-    p.add_argument("--test-frac", type=float)
-    p.add_argument("--split-seed", type=int)
-    p.add_argument("--split", choices=["train", "validation", "test", "all"])
-    p.add_argument("--include-self", action="store_const", const=True,
-                   help="keep the query's own image among the candidates")
-    p.add_argument("--out")
-    add_config(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("search", help="retrieve images for a text query")
-    p.add_argument("query", nargs="+", help="the query text")
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--features")
-    p.add_argument("--k", type=int)
-    add_config(p)
-    p.set_defaults(func=cmd_search)
-
+        # Looked up on the module now, not when COMMANDS was built, so a
+        # wrapper put in place of a cmd_* function is the one called.
+        p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
     return parser
 
 

@@ -3,14 +3,15 @@ synthetic latent-topic dataset generator for desk-scale experiments.
 
 File formats:
   captions  -- JSON array of {"id": <int>, "captions": [<str>, ...]}
-  features  -- binary, magic "T2VF", version u32, N u64, D u64, N image ids
-               as u64, then the N x D matrix as row-major little-endian f32
+  features  -- BinaryFormat "T2VF", header N u64 and D u64, then N image ids
+               as u64 and the N x D matrix as f32
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -18,10 +19,6 @@ import numpy as np
 
 from .atomic import atomic_write
 from .textvec import default_lexicon
-
-FEATURE_MAGIC = b"T2VF"
-FEATURE_VERSION = 1
-_FEATURE_HEADER = struct.Struct("<4sIQQ")
 
 _MAX_U64 = 2**64 - 1
 
@@ -95,6 +92,56 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+@dataclass(frozen=True)
+class BinaryFormat:
+    """The binary container that feature files and checkpoints share: the
+    4-byte magic, version u32, header fields packed by the struct format
+    `header`, then row-major arrays, all little-endian."""
+
+    magic: bytes
+    version: int
+    header: str
+
+    def write(self, path, fields, arrays) -> None:
+        """Write the header `fields`, then each (dtype, array) of `arrays`."""
+        with atomic_write(path, "wb") as fh:
+            fh.write(struct.pack("<4sI" + self.header, self.magic, self.version, *fields))
+            for dtype, arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<" + dtype).tobytes())
+
+    def read(self, path, layout) -> dict[str, np.ndarray]:
+        """The arrays of a file written by `write`.  `layout(*fields)` maps the
+        header fields to {name: (dtype, shape)} of the arrays in file order.
+        Every array must be non-empty and the file length exact; the arrays
+        come back as read-only views of the file's bytes."""
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        head = struct.Struct("<4sI" + self.header)
+        if len(blob) < head.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, *fields = head.unpack_from(blob)
+        if magic != self.magic:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {self.magic.decode()}")
+        if version != self.version:
+            raise FormatError(f"{path}: unsupported version {version}")
+        views, end = [], head.size  # (name, dtype, count, shape, offset) of each array
+        for name, (dtype, shape) in layout(*fields).items():
+            dt, count = np.dtype("<" + dtype), math.prod(shape)
+            if count == 0:
+                raise FormatError(f"{path}: empty array {name} of shape {shape}")
+            views.append((name, dt, count, shape, end))
+            end += dt.itemsize * count
+        if len(blob) != end:
+            problem = "truncated" if len(blob) < end else "trailing data"
+            raise FormatError(
+                f"{path}: {problem}, size mismatch: {len(blob)} bytes, expected {end}")
+        return {name: np.frombuffer(blob, dt, count, at).reshape(shape)
+                for name, dt, count, shape, at in views}
+
+
+FEATURE_FORMAT = BinaryFormat(b"T2VF", 1, "QQ")
+
+
 def save_features(path, ids, matrix) -> None:
     """Write image ids and their feature matrix; load_features inverts this bit-exactly."""
     matrix = np.ascontiguousarray(matrix, dtype="<f4")
@@ -107,38 +154,16 @@ def save_features(path, ids, matrix) -> None:
         raise ValueError("image ids must be unique")
     if any(i < 0 or i > _MAX_U64 for i in ids):
         raise ValueError("image ids must fit in an unsigned 64-bit integer")
-    with atomic_write(path, "wb") as fh:
-        fh.write(_FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION,
-                                      matrix.shape[0], matrix.shape[1]))
-        fh.write(np.asarray(ids, dtype="<u8").tobytes())
-        fh.write(matrix.tobytes())
+    FEATURE_FORMAT.write(path, matrix.shape, [("u8", ids), ("f4", matrix)])
 
 
 def load_features(path) -> tuple[list[int], np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _FEATURE_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, n, d = _FEATURE_HEADER.unpack_from(blob)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(
-            f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC.decode()}")
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if n == 0 or d == 0:
-        raise FormatError(f"{path}: empty feature matrix ({n} x {d})")
-    expected = _FEATURE_HEADER.size + 8 * n + 4 * n * d
-    if len(blob) < expected:
-        raise FormatError(f"{path}: truncated: {len(blob)} bytes, expected {expected}")
-    if len(blob) > expected:
-        raise FormatError(f"{path}: trailing data: {len(blob)} bytes, expected {expected}")
-    ids = np.frombuffer(blob, dtype="<u8", count=n, offset=_FEATURE_HEADER.size)
-    matrix = np.frombuffer(blob, dtype="<f4", count=n * d,
-                           offset=_FEATURE_HEADER.size + 8 * n)
-    id_list = [int(i) for i in ids]
+    arrays = FEATURE_FORMAT.read(
+        path, lambda n, d: {"ids": ("u8", (n,)), "matrix": ("f4", (n, d))})
+    id_list = [int(i) for i in arrays["ids"]]
     if len(set(id_list)) != len(id_list):
         raise FormatError(f"{path}: duplicate image ids")
-    return id_list, matrix.astype(np.float32).reshape(n, d)
+    return id_list, arrays["matrix"].astype(np.float32)
 
 
 def join_captions_features(caption_records: list[tuple[int, list[str]]],

@@ -14,16 +14,14 @@ w_vis, b_vis}.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_write
+from .data import BinaryFormat, FormatError
 from .textvec import BowVector
 
-CHECKPOINT_MAGIC = b"T2VM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_FORMAT = BinaryFormat(b"T2VM", 1, "IQQQ")  # flags, vocab, hidden, visual
 _FLAG_TEXT_BRANCH = 1
 
 # Std of a unit normal truncated at +-2 sigma: sqrt(1 - 4*phi(2)/(2*Phi(2)-1)).
@@ -262,60 +260,31 @@ def backward_joint_batch(model: Model, inputs: np.ndarray, text_targets: np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: "T2VM", version u32, flags u32 (bit 0 = text branch), dims as
-# u64 (vocab, hidden, visual), then row-major float32 arrays, little-endian:
-# w_hid, b_hid, [w_txt, b_txt,] w_vis, b_vis.
+# Checkpoints: CHECKPOINT_FORMAT, header flags u32 (bit 0 = text branch) and
+# dims (vocab, hidden, visual) as u64, then float32 arrays: w_hid, b_hid,
+# [w_txt, b_txt,] w_vis, b_vis.
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<4sIIQQQ")
+def _layout(flags: int, vocab_dim: int, hidden_dim: int, visual_dim: int) -> dict:
+    """{name: (dtype, shape)} of the checkpoint's arrays, in file order."""
+    shapes = {"w_hid": (hidden_dim, vocab_dim), "b_hid": (hidden_dim,)}
+    if flags & _FLAG_TEXT_BRANCH:
+        shapes.update(w_txt=(vocab_dim, hidden_dim), b_txt=(vocab_dim,))
+    shapes.update(w_vis=(visual_dim, hidden_dim), b_vis=(visual_dim,))
+    return {name: ("f4", shape) for name, shape in shapes.items()}
 
 
 def save_checkpoint(model: Model, path) -> None:
-    flags = _FLAG_TEXT_BRANCH if model.has_text_branch else 0
-    arrays = [model.w_hid, model.b_hid]
-    if model.has_text_branch:
-        arrays += [model.w_txt, model.b_txt]
-    arrays += [model.w_vis, model.b_vis]
-    with atomic_write(path, "wb") as fh:
-        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, flags,
-                              model.vocab_dim, model.hidden_dim, model.visual_dim))
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    fields = (_FLAG_TEXT_BRANCH if model.has_text_branch else 0,
+              model.vocab_dim, model.hidden_dim, model.visual_dim)
+    CHECKPOINT_FORMAT.write(path, fields, [(dtype, getattr(model, name))
+                                           for name, (dtype, _) in _layout(*fields).items()])
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"checkpoint truncated: {path}")
-    magic, version, flags, vocab_dim, hidden_dim, visual_dim = _HEADER.unpack_from(blob)
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(
-            f"bad magic {magic!r} in {path}: expected {CHECKPOINT_MAGIC.decode()}")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    has_text = bool(flags & _FLAG_TEXT_BRANCH)
-
-    shapes = [("w_hid", (hidden_dim, vocab_dim)), ("b_hid", (hidden_dim,))]
-    if has_text:
-        shapes += [("w_txt", (vocab_dim, hidden_dim)), ("b_txt", (vocab_dim,))]
-    shapes += [("w_vis", (visual_dim, hidden_dim)), ("b_vis", (visual_dim,))]
-
-    expected = _HEADER.size + 4 * sum(int(np.prod(s)) for _, s in shapes)
-    if len(blob) != expected:
-        raise ValueError(
-            f"checkpoint size mismatch: {path} has {len(blob)} bytes, expected {expected}")
-
-    offset = _HEADER.size
-    fields: dict[str, np.ndarray] = {}
-    for name, shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        offset += 4 * count
-        arr = arr.astype(np.float32).reshape(shape)
+    arrays = CHECKPOINT_FORMAT.read(path, _layout)
+    for name, arr in arrays.items():
         if not np.isfinite(arr).all():
-            raise ValueError(f"checkpoint contains non-finite values in {name}")
-        fields[name] = arr
-    return Model(w_hid=fields["w_hid"], b_hid=fields["b_hid"],
-                 w_txt=fields.get("w_txt"), b_txt=fields.get("b_txt"),
-                 w_vis=fields["w_vis"], b_vis=fields["b_vis"])
+            raise FormatError(f"{path}: non-finite values in {name}")
+    return Model(**{"w_txt": None, "b_txt": None,
+                    **{name: arr.astype(np.float32) for name, arr in arrays.items()}})

@@ -26,6 +26,9 @@ class TrainingDiverged(RuntimeError):
 # its gradient, both moments and the two work arrays stays in the CPU cache.
 _ADAM_BLOCK = 1 << 14
 
+# Images per forward pass of the whole-split losses.
+_SPLIT_CHUNK = 512
+
 
 class Adam:
     """Adam with bias correction; moments are kept in float64 per parameter."""
@@ -265,17 +268,16 @@ class _BatchSampler:
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def _split_losses(model: Model, ds: EncodedDataset,
-                  with_text: bool, chunk: int = 512) -> tuple[float | None, float]:
+def _split_losses(model: Model, ds: EncodedDataset, with_text: bool) -> tuple[float | None, float]:
     """Deterministic whole-split losses, using each image's first caption as
     both the input and the reconstruction target."""
     sq_t = 0.0
     sq_v = 0.0
-    for start in range(0, ds.size, chunk):
-        cols = [caps[0] for caps in ds.caption_indices[start:start + chunk]]
+    for start in range(0, ds.size, _SPLIT_CHUNK):
+        cols = [caps[0] for caps in ds.caption_indices[start:start + _SPLIT_CHUNK]]
         inputs = _bow_matrix(cols, ds.vocab_dim)
         _, text_recon, visual_pred = nn.forward_batch(model, inputs)
-        sq_v += float(((visual_pred - ds.features[start:start + chunk].T) ** 2).sum())
+        sq_v += float(((visual_pred - ds.features[start:start + _SPLIT_CHUNK].T) ** 2).sum())
         if with_text:
             sq_t += float(((text_recon - inputs) ** 2).sum())
     loss_v = sq_v / (ds.size * ds.visual_dim)

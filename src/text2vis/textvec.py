@@ -159,9 +159,7 @@ def caption_terms(tokens: Sequence[Token], mode: str,
 class Vocabulary:
     """Immutable term -> index map over unigrams and (optionally) pattern n-grams."""
 
-    def __init__(self, terms: Sequence[str], mode: str,
-                 min_caption_freq_unigram: int | None = None,
-                 min_caption_freq_ngram: int | None = None):
+    def __init__(self, terms: Sequence[str], mode: str):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.terms = list(terms)
@@ -171,8 +169,6 @@ class Vocabulary:
             raise ValueError("vocabulary is empty")
         self.index = {term: i for i, term in enumerate(self.terms)}
         self.mode = mode
-        self.min_caption_freq_unigram = min_caption_freq_unigram
-        self.min_caption_freq_ngram = min_caption_freq_ngram
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -232,6 +228,4 @@ def build_vocabulary(corpus: Iterable[Sequence[Token]], mode: str,
     if not kept:
         raise ValueError(
             f"no term appears in at least {threshold} captions; vocabulary is empty")
-    return Vocabulary(kept, mode,
-                      min_caption_freq_unigram=min_caption_freq_unigram,
-                      min_caption_freq_ngram=min_caption_freq_ngram)
+    return Vocabulary(kept, mode)

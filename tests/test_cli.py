@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from text2vis import data, evaluation, nn, textvec
+from text2vis import cli, data, evaluation, nn, textvec
 from text2vis.cli import main
 
 
@@ -33,6 +33,21 @@ def workspace(tmp_path_factory):
 
 def run_ok(argv):
     assert main(argv) == 0
+
+
+def sample_value(flag):
+    """A non-default value for `flag`: (command-line words, config-file value).
+    A float flag gets an int in the file, which must resolve to a float."""
+    if flag.repeat:
+        return [flag.flag, "a=b", flag.flag, "c=d"], ["a=b", "c=d"]
+    if flag.kind is bool:
+        return [flag.flag], True
+    if flag.choices:
+        return [flag.flag, flag.choices[-1]], flag.choices[-1]
+    if flag.kind is str:
+        return [flag.flag, "some/path"], "some/path"
+    value = int(flag.default) + 2
+    return [flag.flag, str(value)], value
 
 
 def fresh_checkpoint(path, vocab_dim, visual_dim=16):
@@ -305,3 +320,57 @@ class TestConfigFile:
         run_ok(["train", "--config", str(cfg_path), "--out", str(tmp_path / "replay")])
         assert (tmp_path / "replay" / "history.csv").read_bytes() == \
             (root / "run_sl" / "history.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, values, key", [
+        ("eval", {"include_self": "false"}, "include_self"),
+        ("search", {"k": "3"}, "k"),
+        ("train", {"hidden": 16.5}, "hidden"),
+        ("train", {"strategy": "sgd"}, "strategy"),
+    ])
+    def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, command, values, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        # none of these exists: reading any of them would fail with another message
+        missing = tmp_path / "missing"
+        m = lambda name: str(missing / name)
+        dataset = ["--captions", m("c.json"), "--features", m("f.t2vf"), "--vocab", m("v.txt")]
+        argv = {"eval": ["eval", *dataset, "--out", m("out")],
+                "train": ["train", *dataset, "--out", m("out")],
+                "search": ["search", "dog", "--checkpoint", m("m.t2vm"), "--vocab", m("v.txt"),
+                           "--features", m("f.t2vf")]}[command]
+        argv += ["--config", str(cfg_path)]
+        assert main(argv) == 1
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags) in cli.COMMANDS.items() for flag in flags],
+        ids=lambda v: getattr(v, "key", v))
+    def test_flag_and_config_key_resolve_alike(self, tmp_path, command, flag):
+        words, file_value = sample_value(flag)
+        base = [command, "dog"] if command == "search" else [command]
+        for other in cli.COMMANDS[command][1]:  # every other required flag
+            if other.default is None and not other.repeat and other is not flag:
+                base += [other.flag, f"x/{other.key}"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({flag.key: file_value}))
+        parser = cli.build_parser()
+        from_flag = cli._resolve(parser.parse_args(base + words))
+        from_file = cli._resolve(parser.parse_args(base + ["--config", str(cfg_path)]))
+        assert from_flag == from_file
+        assert from_flag[flag.key] != flag.default
+        assert type(from_flag[flag.key]) is type(from_file[flag.key])
+
+    def test_null_leaves_optional_flag_unset(self, tmp_path):
+        # eval echoes "checkpoint": null when no checkpoint was given
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"checkpoint": null}')
+        args = cli.build_parser().parse_args(
+            ["eval", "--captions", "c", "--features", "f", "--vocab", "v", "--out", "o",
+             "--config", str(cfg_path)])
+        assert cli._resolve(args)["checkpoint"] is None
+
+
+def test_command_is_required(capsys):
+    assert main([]) == 2
+    assert "required: command" in capsys.readouterr().err

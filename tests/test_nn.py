@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from text2vis import nn
+from text2vis.data import FormatError
 from text2vis.nn import (Model, backward_text, backward_visual, forward,
                          init_model, load_checkpoint, mse, param_count, relu,
                          save_checkpoint)
@@ -336,3 +339,15 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(4, 0, 3), (0, 2, 3), (4, 2, 0)])
+    def test_zero_dimension_rejected(self, tmp_path, dims):
+        # without the text branch, sized exactly as the header says; with hidden 0
+        # the arrays are just a 12-byte b_vis, and the model would predict zeros
+        vocab, hidden, visual = dims
+        floats = hidden * vocab + hidden + visual * hidden + visual
+        path = tmp_path / "zero.t2vm"
+        path.write_bytes(struct.pack("<4sIIQQQ", b"T2VM", 1, 0, *dims) + bytes(4 * floats))
+        with pytest.raises(FormatError, match="empty") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
