@@ -229,6 +229,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
+    if cfg["p"] < 1:
+        raise ValueError("p must be >= 1")
 
     checkpoints: dict[str, str] = {}
     for item in cfg["checkpoint"] or []:
@@ -283,6 +285,8 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = _resolve(args)
+    if cfg["k"] < 1:
+        raise ValueError("k must be >= 1")
 
     vocab = textvec.Vocabulary.load(cfg["vocab"])
     model = _load_model(cfg["checkpoint"], vocab)

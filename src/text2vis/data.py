@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -112,10 +113,12 @@ class BinaryFormat:
     def read(self, path, layout) -> dict[str, np.ndarray]:
         """The arrays of a file written by `write`.  `layout(*fields)` maps the
         header fields to {name: (dtype, shape)} of the arrays in file order.
-        Every array must be non-empty and the file length exact; the arrays
-        come back as read-only views of the file's bytes."""
+        Every array must be non-empty and the file length exact.  The file is
+        read once, into one buffer, and the arrays come back as writable views
+        of it, so a load holds one copy of the file."""
         with open(path, "rb") as fh:
-            blob = fh.read()
+            blob = bytearray(os.fstat(fh.fileno()).st_size)
+            del blob[fh.readinto(blob):]  # a file that shrank meanwhile fails the length check
         head = struct.Struct("<4sI" + self.header)
         if len(blob) < head.size:
             raise FormatError(f"{path}: truncated header")
@@ -163,7 +166,7 @@ def load_features(path) -> tuple[list[int], np.ndarray]:
     id_list = [int(i) for i in arrays["ids"]]
     if len(set(id_list)) != len(id_list):
         raise FormatError(f"{path}: duplicate image ids")
-    return id_list, arrays["matrix"].astype(np.float32)
+    return id_list, arrays["matrix"].astype(np.float32, copy=False)
 
 
 def join_captions_features(caption_records: list[tuple[int, list[str]]],

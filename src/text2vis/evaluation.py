@@ -103,7 +103,12 @@ def predict_and_rank(model: nn.Model, bow: textvec.BowVector, index: VisualIndex
     dead ReLU output) has no direction to rank by.  It lies at distance 1.0
     from every unit-norm candidate, so all of them tie and ascending id decides.
     """
-    pred = nn.forward(model, bow).visual_pred
+    return _rank_prediction(nn.visual_predictions(model, [bow])[0], index, k, exclude_id)
+
+
+def _rank_prediction(pred: np.ndarray, index: VisualIndex, k: int,
+                     exclude_id: int | None) -> RankedList:
+    """predict_and_rank for a prediction already made."""
     if pred.any():
         return retrieval.query(index, pred, k, exclude_id=exclude_id)
     if k < 1:
@@ -171,7 +176,8 @@ class EvalReport:
         return paths
 
 
-RankFn = Callable[[Query], RankedList]
+# A method's rank function: the ranking of each query, in query order.
+RankFn = Callable[[Sequence[Query]], list[RankedList]]
 
 
 def collection_queries(
@@ -193,9 +199,10 @@ def rank_functions(names: Sequence[str], collection: Sequence[CaptionedImage],
     """The rank function of each named method over the collection's features.
 
     text2vis and visreg rank by the prediction of the model that
-    load_model(name) returns, vissim by the query image's own feature, and
-    rrank at random (seeded once for all queries).  Unless include_self, the
-    query's own image is left out of the candidates.
+    load_model(name) returns, made for all the queries in one batched pass;
+    vissim by the query image's own feature; and rrank at random (seeded once
+    for all queries, drawn in query order).  Unless include_self, the query's
+    own image is left out of the candidates.
     """
     index = retrieval.build_index([img.image_id for img in collection],
                                   np.stack([img.feature for img in collection]))
@@ -206,15 +213,27 @@ def rank_functions(names: Sequence[str], collection: Sequence[CaptionedImage],
         return None if include_self else q.image_id
 
     def model_rank(model: nn.Model) -> RankFn:
-        return lambda q: predict_and_rank(model, vocab.encode_text(q.text), index, p,
-                                          excluded(q))
+        def rank(queries: Sequence[Query]) -> list[RankedList]:
+            rankings = []
+            for start in range(0, len(queries), nn.BATCH_CHUNK):
+                chunk = queries[start:start + nn.BATCH_CHUNK]
+                preds = nn.visual_predictions(model, [vocab.encode_text(q.text)
+                                                      for q in chunk])
+                rankings += [_rank_prediction(pred, index, p, excluded(q))
+                             for pred, q in zip(preds, chunk)]
+            return rankings
+        return rank
 
-    def vissim(q: Query) -> RankedList:
-        return vissim_ranking(index, feature_by_id[q.image_id], excluded(q), p)
+    def vissim(queries: Sequence[Query]) -> list[RankedList]:
+        return [vissim_ranking(index, feature_by_id[q.image_id], excluded(q), p)
+                for q in queries]
 
-    def rrank(q: Query) -> RankedList:
-        ids = index.ids if include_self else index.ids[index.ids != q.image_id]
-        return rrank_ranking(ids, rng, min(p, len(ids)))
+    def rrank(queries: Sequence[Query]) -> list[RankedList]:
+        rankings = []
+        for q in queries:
+            ids = index.ids if include_self else index.ids[index.ids != q.image_id]
+            rankings.append(rrank_ranking(ids, rng, min(p, len(ids))))
+        return rankings
 
     baselines = {"vissim": vissim, "rrank": rrank}
     methods: dict[str, RankFn] = {}
@@ -237,30 +256,37 @@ def evaluate(methods: dict[str, RankFn], queries: Sequence[Query],
     """Score every method on every query with DCG@p under ROUGE-L relevance.
 
     captions_tokens maps each retrievable image id to its tokenized captions.
-    All methods must rank the same collection, so per-query relevance scores
-    are cached and shared across methods.
+    Each method is asked for all of its rankings at once, and only the top p
+    ids of each are kept.  All methods must rank the same collection, so
+    per-query relevance scores are cached and shared across methods.
     """
     if not methods:
         raise ValueError("no methods to evaluate")
     if not queries:
         raise ValueError("no queries to evaluate")
+    ranked_ids: dict[str, list[list[int]]] = {}
+    for name, rank_fn in methods.items():
+        rankings = rank_fn(queries)
+        if len(rankings) != len(queries):
+            raise ValueError(f"method {name!r} gave {len(rankings)} rankings "
+                             f"for {len(queries)} queries")
+        ranked_ids[name] = [ranking.ids()[:p] for ranking in rankings]
     dcg_by_method: dict[str, list[float]] = {name: [] for name in methods}
-    for q in queries:
+    for i, q in enumerate(queries):
         rel_cache: dict[int, float] = {}
-        for name, rank_fn in methods.items():
-            ranking = rank_fn(q)
+        for name, ids in ranked_ids.items():
             rels = []
-            for entry in ranking.entries[:p]:
-                rel = rel_cache.get(entry.image_id)
+            for image_id in ids[i]:
+                rel = rel_cache.get(image_id)
                 if rel is None:
                     try:
-                        refs = captions_tokens[entry.image_id]
+                        refs = captions_tokens[image_id]
                     except KeyError:
                         raise ValueError(
-                            f"method {name!r} retrieved image {entry.image_id}, "
+                            f"method {name!r} retrieved image {image_id}, "
                             f"which has no captions") from None
                     rel = relevance(q.tokens, refs, beta, aggregate)
-                    rel_cache[entry.image_id] = rel
+                    rel_cache[image_id] = rel
                 rels.append(rel)
             dcg_by_method[name].append(dcg(rels, p))
     return EvalReport(p=p, query_ids=[q.image_id for q in queries],

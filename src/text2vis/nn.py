@@ -185,9 +185,24 @@ def backward_visual(model: Model, text_bow: BowVector,
 
 
 # ---------------------------------------------------------------------------
-# Batched versions, used by the trainers.  Inputs are dense float64 matrices
-# with one column per example; returned gradients are means over the batch.
+# Batched versions, used by the trainers and for ranking.  Inputs are dense
+# float64 matrices with one column per example; returned gradients are means
+# over the batch.
 # ---------------------------------------------------------------------------
+
+# Examples per forward pass over a whole split or query set: it bounds the
+# [vocab x batch] input matrix and the activations.
+BATCH_CHUNK = 512
+
+
+def bow_matrix(index_lists, dim: int) -> np.ndarray:
+    """The [dim x len(index_lists)] binary input matrix: column j has ones at
+    the indices index_lists[j]."""
+    out = np.zeros((dim, len(index_lists)))
+    for col, idx in enumerate(index_lists):
+        out[idx, col] = 1.0
+    return out
+
 
 def hidden_batch(model: Model, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pre-activation, activation) of the hidden layer for a [vocab x batch] input
@@ -212,6 +227,20 @@ def forward_batch(model: Model, inputs: np.ndarray):
     _, hidden = hidden_batch(model, inputs)
     text_recon = relu(_head(model, "txt", hidden)[1]) if model.has_text_branch else None
     return hidden, text_recon, relu(_head(model, "vis", hidden)[1])
+
+
+def visual_predictions(model: Model, bows) -> np.ndarray:
+    """The visual prediction of each bag of words, as the rows of a [len(bows) x
+    visual] array, in one pass of the hidden layer and the visual head alone;
+    callers with many bags of words pass them BATCH_CHUNK at a time.  For a
+    single bag of words the row is bitwise forward(model, bow).visual_pred; for
+    more, the head is one matrix product, whose sums may round differently in
+    the last bits."""
+    for bow in bows:
+        _check_input_dim(model, bow)
+    _, hidden = hidden_batch(model, bow_matrix([list(b.on_indices) for b in bows],
+                                               model.vocab_dim))
+    return np.ascontiguousarray(relu(_head(model, "vis", hidden)[1]).T)
 
 
 def _head_backward_batch(model: Model, head: str, pre1, hidden, inputs, targets):
@@ -287,4 +316,5 @@ def load_checkpoint(path) -> Model:
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: non-finite values in {name}")
     return Model(**{"w_txt": None, "b_txt": None,
-                    **{name: arr.astype(np.float32) for name, arr in arrays.items()}})
+                    **{name: arr.astype(np.float32, copy=False)
+                       for name, arr in arrays.items()}})

@@ -26,9 +26,6 @@ class TrainingDiverged(RuntimeError):
 # its gradient, both moments and the two work arrays stays in the CPU cache.
 _ADAM_BLOCK = 1 << 14
 
-# Images per forward pass of the whole-split losses.
-_SPLIT_CHUNK = 512
-
 
 class Adam:
     """Adam with bias correction; moments are kept in float64 per parameter."""
@@ -179,6 +176,9 @@ class TrainResult:
     text_steps: int
     wall_seconds: float
     stopped_early: bool
+    # CPU time of this process (all its threads) over the same span as
+    # wall_seconds; unlike wall time, a CPU-bound neighbour does not inflate it.
+    cpu_seconds: float
 
 
 def early_stop_check(history: TrainHistory, patience: int) -> tuple[bool, int]:
@@ -237,13 +237,6 @@ def encode_dataset(images: Sequence[CaptionedImage], vocab: Vocabulary) -> Encod
         n_captions=np.array([len(img.captions) for img in images], dtype=np.int64))
 
 
-def _bow_matrix(index_lists: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    out = np.zeros((dim, len(index_lists)))
-    for col, idx in enumerate(index_lists):
-        out[idx, col] = 1.0
-    return out
-
-
 class _BatchSampler:
     """Fixed-size batches over a permutation, reshuffled after every full pass."""
 
@@ -273,11 +266,11 @@ def _split_losses(model: Model, ds: EncodedDataset, with_text: bool) -> tuple[fl
     both the input and the reconstruction target."""
     sq_t = 0.0
     sq_v = 0.0
-    for start in range(0, ds.size, _SPLIT_CHUNK):
-        cols = [caps[0] for caps in ds.caption_indices[start:start + _SPLIT_CHUNK]]
-        inputs = _bow_matrix(cols, ds.vocab_dim)
+    for start in range(0, ds.size, nn.BATCH_CHUNK):
+        cols = [caps[0] for caps in ds.caption_indices[start:start + nn.BATCH_CHUNK]]
+        inputs = nn.bow_matrix(cols, ds.vocab_dim)
         _, text_recon, visual_pred = nn.forward_batch(model, inputs)
-        sq_v += float(((visual_pred - ds.features[start:start + _SPLIT_CHUNK].T) ** 2).sum())
+        sq_v += float(((visual_pred - ds.features[start:start + nn.BATCH_CHUNK].T) ** 2).sum())
         if with_text:
             sq_t += float(((text_recon - inputs) ** 2).sum())
     loss_v = sq_v / (ds.size * ds.visual_dim)
@@ -336,17 +329,17 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
     steps = {"visual": 0, "text": 0}
     iterations_run = 0
     stopped_early = False
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), time.process_time()
 
     for iteration in range(1, config.max_iterations + 1):
         batch = sampler.next_batch()
         in_pick, out_pick = pick_captions(train.n_captions[batch], rng)
-        inputs = _bow_matrix([train.caption_indices[i][p] for i, p in zip(batch, in_pick)],
-                             train.vocab_dim)
+        inputs = nn.bow_matrix([train.caption_indices[i][p] for i, p in zip(batch, in_pick)],
+                               train.vocab_dim)
         losses, adam, params, grads = step(
             rng, inputs, train.features[batch].T,
-            lambda: _bow_matrix([train.caption_indices[i][p] for i, p in zip(batch, out_pick)],
-                                train.vocab_dim))
+            lambda: nn.bow_matrix([train.caption_indices[i][p] for i, p in zip(batch, out_pick)],
+                                  train.vocab_dim))
         for branch, loss in losses.items():
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"{branch} loss is {loss} at iteration {iteration}")
@@ -360,13 +353,14 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
             break
 
     wall = time.perf_counter() - started
+    cpu = time.process_time() - cpu_started
     _, best_iteration = early_stop_check(history, config.patience)
     best_val = min(p.val_loss_v for p in history.points)
     return TrainResult(model=best_snapshot, history=history,
                        best_iteration=best_iteration, best_val_loss_v=best_val,
                        iterations_run=iterations_run, visual_steps=steps["visual"],
                        text_steps=steps["text"], wall_seconds=wall,
-                       stopped_early=stopped_early)
+                       stopped_early=stopped_early, cpu_seconds=cpu)
 
 
 def sl_train(train: EncodedDataset, val: EncodedDataset, model: Model,

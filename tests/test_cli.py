@@ -288,6 +288,37 @@ class TestSearch:
             f"{rank:4d}. {i}  distance=1.000000" for rank, i in enumerate(sorted(ids)[:3], 1)]
 
 
+class TestValueRanges:
+    @pytest.mark.parametrize("command, words, message", [
+        ("search", ["--k", "0"], "k must be >= 1"),
+        ("search", ["--k", "-3"], "k must be >= 1"),
+        ("eval", ["--p", "0"], "p must be >= 1"),
+        ("eval", ["--p", "-1"], "p must be >= 1"),
+    ])
+    def test_rejected_before_any_input_is_read(self, tmp_path, capsys, command, words,
+                                               message):
+        # none of these exists: reading any of them would fail with another message
+        missing = tmp_path / "missing"
+        m = lambda name: str(missing / name)
+        argv = {"eval": ["eval", "--captions", m("c.json"), "--features", m("f.t2vf"),
+                         "--vocab", m("v.txt"), "--checkpoint", f"text2vis={m('m.t2vm')}",
+                         "--methods", "text2vis,vissim", "--out", m("out")],
+                "search": ["search", "dog", "--checkpoint", m("m.t2vm"), "--vocab", m("v.txt"),
+                           "--features", m("f.t2vf")]}[command]
+        assert main(argv + words) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not missing.exists()
+
+    def test_config_file_value_checked_alike(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"k": 0}))
+        missing = tmp_path / "missing"
+        assert main(["search", "dog", "--checkpoint", str(missing / "m.t2vm"),
+                     "--vocab", str(missing / "v.txt"), "--features", str(missing / "f.t2vf"),
+                     "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.strip() == "error: k must be >= 1"
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_flags_override(self, workspace, tmp_path, capsys):
         root, _ = workspace

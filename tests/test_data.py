@@ -258,3 +258,53 @@ class TestDefaultConfigProperties:
             ordered += pair_score(a, b) > pair_score(a, c)
             trials += 1
         assert ordered / trials >= 0.95
+
+
+class TestFeatureLoadHoldsOneCopy:
+    def test_matrix_is_a_writable_view_of_the_file_bytes(self, tmp_path):
+        rng = np.random.default_rng(4)
+        matrix = rng.normal(size=(5, 7)).astype(np.float32)
+        path = tmp_path / "f.t2vf"
+        save_features(path, [3, 1, 4, 15, 9], matrix)
+        ids, loaded = load_features(path)
+        assert ids == [3, 1, 4, 15, 9]
+        assert loaded.dtype == np.float32 and loaded.flags.writeable
+        assert loaded.flags.c_contiguous and not loaded.flags.owndata
+        assert loaded.tobytes() == path.read_bytes()[24 + 8 * 5:]
+        loaded[0, 0] = 2.5
+        assert loaded[0, 0] == 2.5
+
+    @pytest.mark.parametrize("case", ["header", "magic", "version", "truncated", "trailing",
+                                      "empty", "duplicate"])
+    def test_format_error_messages(self, tmp_path, case):
+        import struct
+        path = tmp_path / "f.t2vf"
+        save_features(path, [1, 2], np.ones((2, 3), dtype=np.float32))
+        good = path.read_bytes()  # 24 header + 16 ids + 24 floats = 64 bytes
+        blob, message = {
+            "header": (good[:10], "truncated header"),
+            "magic": (b"T2VX" + good[4:], "bad magic b'T2VX', expected T2VF"),
+            "version": (good[:4] + struct.pack("<I", 2) + good[8:], "unsupported version 2"),
+            "truncated": (good[:-1], "truncated, size mismatch: 63 bytes, expected 64"),
+            "trailing": (good + b"x", "trailing data, size mismatch: 65 bytes, expected 64"),
+            "empty": (struct.pack("<4sIQQ", b"T2VF", 1, 0, 3), "empty array ids of shape (0,)"),
+            "duplicate": (good[:24] + struct.pack("<QQ", 7, 7) + good[40:],
+                          "duplicate image ids"),
+        }[case]
+        path.write_bytes(blob)
+        with pytest.raises(FormatError) as err:
+            load_features(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_file_that_shrinks_while_read_fails_the_length_check(self, tmp_path, monkeypatch):
+        import os
+        path = tmp_path / "f.t2vf"
+        save_features(path, [1, 2], np.ones((2, 3), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:60])
+        real_fstat = os.fstat
+        # the size taken before reading is the whole file's, 64 bytes; only 60 remain
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            [*real_fstat(fd)[:6], 64, *real_fstat(fd)[7:]]))
+        with pytest.raises(FormatError) as err:
+            load_features(path)
+        assert str(err.value) == f"{path}: truncated, size mismatch: 60 bytes, expected 64"

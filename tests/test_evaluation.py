@@ -238,14 +238,14 @@ class TestRankFunctions:
         for include_self in (False, True):
             for name, fn in self.rank(["text2vis", "vissim", "rrank"],
                                       include_self=include_self).items():
-                ids = fn(queries[0]).ids()
+                ids = fn(queries[:1])[0].ids()
                 assert (1 in ids) == include_self, name
                 assert len(ids) == 3 - (not include_self), name
 
     def test_vissim_ranks_by_own_feature(self):
         queries, _ = collection_queries(self.collection)
         vissim = self.rank(["vissim"], include_self=True)["vissim"]
-        assert vissim(queries[0]).ids() == [1, 2, 3]
+        assert vissim(queries[:1])[0].ids() == [1, 2, 3]
 
     def test_unknown_and_empty_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -254,8 +254,59 @@ class TestRankFunctions:
             self.rank([])
 
 
+class TestBatchedModelRankings:
+    """A model method predicts for all its queries in chunks of nn.BATCH_CHUNK;
+    each ranking must be that of predict_and_rank for the query alone."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        words = [f"w{i}" for i in range(30)]
+        self.vocab = Vocabulary(words, "unigram")
+        self.collection = [
+            CaptionedImage(i, [" ".join(rng.choice(words, 4))], rng.uniform(0, 1, 12))
+            for i in range(11)]
+        # fully out of vocabulary: a zero prediction in the middle of a batch
+        self.collection.insert(5, CaptionedImage(99, ["purple zebra"], rng.uniform(0, 1, 12)))
+        self.model = nn.init_model(30, 8, 12, seed=21)
+        self.model.b_vis[:] = -10.0  # every prediction is zero without input
+        self.queries, _ = collection_queries(self.collection)
+        self.index = build_index([img.image_id for img in self.collection],
+                                 np.stack([img.feature for img in self.collection]))
+
+    def rankings(self, include_self=False):
+        return rank_functions(["text2vis"], self.collection, self.vocab,
+                              lambda name: self.model, p=6,
+                              include_self=include_self)["text2vis"](self.queries)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 512])
+    def test_chunking_keeps_every_ranking(self, monkeypatch, chunk):
+        monkeypatch.setattr(nn, "BATCH_CHUNK", chunk)
+        for include_self in (False, True):
+            got = self.rankings(include_self)
+            assert len(got) == len(self.queries)
+            for q, ranking in zip(self.queries, got):
+                want = predict_and_rank(self.model, self.vocab.encode_text(q.text),
+                                        self.index, 6,
+                                        None if include_self else q.image_id)
+                assert ranking.ids() == want.ids()
+                assert ranking.query_id == want.query_id
+                assert np.abs(np.subtract(ranking.distances(), want.distances())).max() <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 4, 512])
+    def test_zero_prediction_inside_a_batch(self, monkeypatch, chunk):
+        monkeypatch.setattr(nn, "BATCH_CHUNK", chunk)
+        zero = self.rankings()[5]
+        assert self.queries[5].image_id == 99
+        assert zero.ids() == [0, 1, 2, 3, 4, 5] and zero.distances() == [1.0] * 6
+        assert zero.query_id == 99
+
+    def test_rankings_count_must_match_queries(self):
+        with pytest.raises(ValueError, match="gave 0 rankings for 1 queries"):
+            evaluate({"m": lambda queries: []}, self.queries[:1], {})
+
+
 def constant_method(ranking):
-    return lambda q: ranking
+    return lambda queries: [ranking] * len(queries)
 
 
 class TestEvaluate:
@@ -334,9 +385,8 @@ class TestRRankEstimatesCorpusPrior:
         ids = np.arange(120)
         queries = [Query(int(i), "", captions[int(i)][0]) for i in ids]
 
-        def rrank(q):
-            pool = ids[ids != q.image_id]
-            return rrank_ranking(pool, rng, k=25)
+        def rrank(qs):
+            return [rrank_ranking(ids[ids != q.image_id], rng, k=25) for q in qs]
 
         report = evaluate({"rrank": rrank}, queries, captions, p=25)
         values = report.dcg_by_method["rrank"]

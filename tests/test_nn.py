@@ -351,3 +351,64 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="empty") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+
+class TestVisualPredictions:
+    """The ranking path: the hidden layer and the visual head alone."""
+
+    @staticmethod
+    def bows(rng, vocab, n):
+        return [BowVector(vocab, tuple(sorted(int(i) for i in
+                                              rng.choice(vocab, int(rng.integers(0, 6)),
+                                                         replace=False))))
+                for _ in range(n)]
+
+    def test_batch_of_one_is_forward_bitwise(self):
+        rng = np.random.default_rng(12)
+        for text_branch in (True, False):
+            m = toy_model(rng, vocab=50, hidden=16, visual=24, text_branch=text_branch,
+                          dtype=np.float32)
+            for bow in self.bows(rng, 50, 20):
+                got = nn.visual_predictions(m, [bow])
+                assert got.shape == (1, 24)
+                assert got[0].tobytes() == forward(m, bow).visual_pred.tobytes()
+
+    def test_larger_batches_within_1e12_of_forward(self):
+        rng = np.random.default_rng(13)
+        m = init_model(200, 64, 96, seed=13)
+        bows = self.bows(rng, 200, 37)
+        got = nn.visual_predictions(m, bows)
+        assert got.shape == (37, 96) and got.flags.c_contiguous
+        want = np.stack([forward(m, bow).visual_pred for bow in bows])
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError, match="dim"):
+            nn.visual_predictions(toy_model(), [BowVector(4, (1,)), BowVector(5, (0,))])
+
+
+class TestCheckpointLoadsOneCopy:
+    def test_arrays_are_writable_views_of_the_file_bytes(self, tmp_path):
+        m = init_model(9, 5, 4, seed=3)
+        path = tmp_path / "model.t2vm"
+        save_checkpoint(m, path)
+        raw = path.read_bytes()
+        loaded = load_checkpoint(path)
+        offset = struct.calcsize("<4sIIQQQ")
+        for name in ("w_hid", "b_hid", "w_txt", "b_txt", "w_vis", "b_vis"):
+            arr = getattr(loaded, name)
+            assert arr.dtype == np.float32 and arr.flags.writeable
+            assert not arr.flags.owndata  # a view of the one buffer read from the file
+            assert arr.tobytes() == raw[offset:offset + arr.nbytes]
+            offset += arr.nbytes
+        assert offset == len(raw)
+        loaded.w_vis[0, 0] = 1.0
+
+    def test_non_finite_message(self, tmp_path):
+        m = init_model(3, 2, 2, seed=0)
+        m.w_vis[1, 1] = np.inf
+        path = tmp_path / "model.t2vm"
+        save_checkpoint(m, path)
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: non-finite values in w_vis"

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from text2vis import retrieval
 from text2vis.retrieval import build_index, l2_normalize, query
 
 
@@ -132,3 +136,151 @@ class TestQuery:
         idx = build_index([1], np.array([[1.0, 0]]))
         with pytest.raises(ValueError, match="k"):
             query(idx, np.ones(2), k=0)
+
+
+# ---------------------------------------------------------------------------
+# Exactness against the whole-matrix index build and the full-sort query,
+# kept here as the reference: ids, index vectors and distances must match bit
+# for bit, however the rows and the query are shaped.
+# ---------------------------------------------------------------------------
+
+def reference_build_index(ids, vectors):
+    """(ids, vectors) of the whole-matrix build: one float64 copy, one norm pass."""
+    id_arr = np.asarray(list(ids), dtype=np.int64)
+    mat = np.asarray(vectors, dtype=np.float64)
+    norms = np.linalg.norm(mat, axis=1)
+    return id_arr, mat / norms[:, None]
+
+
+def reference_query(ids, vectors, q, k, exclude_id=None):
+    """(ids, distances) of the full sort over every candidate."""
+    qn = l2_normalize(np.asarray(q, dtype=np.float64))
+    if exclude_id is not None:
+        keep = ids != exclude_id
+        ids, vectors = ids[keep], vectors[keep]
+    dists = np.sqrt(((vectors - qn) ** 2).sum(axis=1))
+    order = np.lexsort((ids, dists))[:k]
+    return [int(i) for i in ids[order]], dists[order]
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_matches_reference(ids, vectors, queries, ks, excludes):
+    index = build_index(ids, vectors)
+    ref_ids, ref_vectors = reference_build_index(ids, vectors)
+    assert np.array_equal(bits(index.vectors), bits(ref_vectors))
+    for q in queries:
+        for k in ks:
+            for exclude_id in excludes:
+                got = query(index, q, k, exclude_id=exclude_id)
+                want_ids, want_d = reference_query(ref_ids, ref_vectors, q, k, exclude_id)
+                assert got.ids() == want_ids
+                assert np.array_equal(bits(got.distances()), bits(want_d))
+
+
+def near_tie_rows(rng, n, dim, ulps=3):
+    """n rows that are one base row moved by a few ulps in a few components each,
+    plus exact duplicates of some of them: the similarity and distance orders
+    disagree among such rows."""
+    base = np.abs(rng.normal(size=dim))
+    rows = np.tile(base, (n, 1))
+    for row in rows:
+        for j in rng.choice(dim, size=min(dim, 3), replace=False):
+            for _ in range(int(rng.integers(1, ulps + 1))):
+                row[j] = np.nextafter(row[j], np.inf if rng.random() < 0.5 else -np.inf)
+    dups = rng.choice(n, size=n // 4, replace=False)
+    rows[dups] = rows[rng.choice(n, size=len(dups))]
+    return rows
+
+
+@st.composite
+def collections(draw):
+    """(ids, rows, queries, ks, excludes, block) over random shapes and row kinds."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dim = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["normal", "relu", "near_tie", "duplicates"]))
+    if kind == "near_tie":
+        rows = near_tie_rows(rng, n, dim)
+    else:
+        rows = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10)
+        if kind == "relu":
+            rows = np.maximum(rows, 0.0)
+        if kind == "duplicates":
+            rows[rng.integers(0, n, size=n)] = rows[rng.integers(0, n, size=n)]
+    rows[~rows.any(axis=1), 0] = 1.0  # a zero row is rejected, not ranked
+    if draw(st.booleans()):
+        rows = rows.astype(np.float32)
+    ids = rng.permutation(3 * n)[:n]
+    queries = [rng.normal(size=dim), np.asarray(rows[int(rng.integers(n))], dtype=np.float64)]
+    if kind == "near_tie":  # from well off the cluster, so many candidates nearly tie
+        queries.append(rows[0] + rng.normal(size=dim))
+    queries = [q if q.any() else np.ones(dim) for q in queries]
+    ks = sorted({1, int(rng.integers(1, n + 1)), n, n + 3})
+    excludes = [None, int(ids[int(rng.integers(n))]), 10**9]
+    block = draw(st.integers(1, 8)) * dim + draw(st.integers(0, dim - 1))
+    return ids, rows, queries, ks, excludes, block
+
+
+class TestExactAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(collections())
+    def test_random_collections(self, case):
+        ids, rows, queries, ks, excludes, block = case
+        with mock.patch.object(retrieval, "_BUILD_BLOCK", block):
+            assert_matches_reference(ids, rows, queries, ks, excludes)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_near_ties_at_the_kth_boundary(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = near_tie_rows(rng, 300, 64)
+        ids = rng.permutation(300)
+        queries = [rows[0] + rng.normal(size=64) for _ in range(6)]
+        assert build_index(ids, rows).safe_norms
+        assert_matches_reference(ids, rows, queries, [1, 5, 17, 50, 299, 300],
+                                 [None, int(ids[0]), int(ids[150])])
+
+    def test_block_boundaries_and_dtypes(self):
+        rng = np.random.default_rng(7)
+        rows = np.maximum(rng.normal(size=(1037, 48)), 0.0)
+        rows[~rows.any(axis=1), 0] = 1.0
+        for dtype in (np.float32, np.float64):
+            for block in (48, 48 * 7 + 5, retrieval._BUILD_BLOCK):
+                with mock.patch.object(retrieval, "_BUILD_BLOCK", block):
+                    assert_matches_reference(np.arange(1037), rows.astype(dtype),
+                                             [rng.normal(size=48)], [10, 1037], [None, 3])
+
+    def test_excluded_best_match_leaves_k_others(self):
+        rng = np.random.default_rng(10)
+        rows = rng.normal(size=(40, 8))
+        assert_matches_reference(np.arange(40), rows, [rows[5], rows[5] + 1e-3], [1, 2, 3],
+                                 [5])
+
+    def test_zero_row_reported_from_a_later_block(self):
+        rows = np.ones((10, 4))
+        rows[7] = 0.0
+        with mock.patch.object(retrieval, "_BUILD_BLOCK", 12):  # 3 rows per block
+            with pytest.raises(ValueError, match="zero vector for image id 17"):
+                build_index(range(10, 20), rows)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-160, 1e-152, 1e152, 1e200])
+    def test_norms_outside_the_safe_range_score_every_candidate(self, scale):
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(50, 16))
+        rows[3] *= scale
+        index = build_index(range(50), rows)
+        assert not index.safe_norms
+        assert_matches_reference(range(50), rows, [rng.normal(size=16)], [1, 5], [None, 3])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-160, 1e-152, 1e152, 1e160])
+    def test_query_norm_outside_the_safe_range(self, scale):
+        rng = np.random.default_rng(9)
+        rows = rng.normal(size=(50, 16))
+        assert build_index(range(50), rows).safe_norms
+        assert_matches_reference(range(50), rows, [rng.normal(size=16) * scale], [1, 5],
+                                 [None, 3])
