@@ -21,19 +21,36 @@ DEFAULT_ROUGE_BETA = 1.2
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common subsequence (classic DP, two rows)."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[len(b)]
+    """Length of the longest common subsequence."""
+    return _lcs_against(_position_masks(a), len(a), b)
+
+
+def _position_masks(tokens: Sequence[str]) -> dict[str, int]:
+    """Each token's positions in the sequence, as the set bits of an int."""
+    masks: dict[str, int] = {}
+    for i, x in enumerate(tokens):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    return masks
+
+
+def _lcs_against(masks: dict[str, int], n: int, other: Sequence[str]) -> int:
+    """LCS length of other and the n tokens whose _position_masks are given,
+    by the bit-parallel recurrence of Allison & Dix (1986) as Hyyro (2004)
+    states it: after each token of other, v has one zero bit per LCS token."""
+    full = (1 << n) - 1
+    v = full
+    for x in other:
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return n - v.bit_count()
+
+
+def _rouge_from_lcs(lcs: int, n_candidate: int, n_reference: int, beta: float) -> float:
+    if lcs == 0:
+        return 0.0
+    recall = lcs / n_reference
+    precision = lcs / n_candidate
+    return ((1 + beta**2) * recall * precision) / (recall + beta**2 * precision)
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str],
@@ -43,12 +60,8 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str],
     Recall is taken against the reference, precision against the candidate;
     beta weights recall (the argument order matters unless beta == 1).
     """
-    lcs = lcs_length(candidate, reference)
-    if lcs == 0:
-        return 0.0
-    recall = lcs / len(reference)
-    precision = lcs / len(candidate)
-    return ((1 + beta**2) * recall * precision) / (recall + beta**2 * precision)
+    return _rouge_from_lcs(lcs_length(candidate, reference), len(candidate),
+                           len(reference), beta)
 
 
 def relevance(query_tokens: Sequence[str], reference_captions: Sequence[Sequence[str]],
@@ -60,7 +73,9 @@ def relevance(query_tokens: Sequence[str], reference_captions: Sequence[Sequence
     """
     if not reference_captions:
         raise ValueError("relevance needs at least one reference caption")
-    scores = [rouge_l(query_tokens, ref, beta) for ref in reference_captions]
+    n, masks = len(query_tokens), _position_masks(query_tokens)  # LCS is symmetric
+    scores = [_rouge_from_lcs(_lcs_against(masks, n, ref), n, len(ref), beta)
+              for ref in reference_captions]
     if aggregate == "max":
         return max(scores)
     if aggregate == "mean":
@@ -212,13 +227,17 @@ def rank_functions(names: Sequence[str], collection: Sequence[CaptionedImage],
     def excluded(q: Query) -> int | None:
         return None if include_self else q.image_id
 
+    bows: dict[str, textvec.BowVector] = {}  # each query text's, encoded once for every model
+
     def model_rank(model: nn.Model) -> RankFn:
         def rank(queries: Sequence[Query]) -> list[RankedList]:
+            for q in queries:
+                if q.text not in bows:
+                    bows[q.text] = vocab.encode_text(q.text)
             rankings = []
             for start in range(0, len(queries), nn.BATCH_CHUNK):
                 chunk = queries[start:start + nn.BATCH_CHUNK]
-                preds = nn.visual_predictions(model, [vocab.encode_text(q.text)
-                                                      for q in chunk])
+                preds = nn.visual_predictions(model, [bows[q.text] for q in chunk])
                 rankings += [_rank_prediction(pred, index, p, excluded(q))
                              for pred, q in zip(preds, chunk)]
             return rankings

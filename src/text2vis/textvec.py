@@ -36,6 +36,10 @@ NGRAM_PATTERNS: tuple[tuple[str, ...], ...] = (
     ("NOUN", "NOUN"),
 )
 
+# NGRAM_PATTERNS by first tag, each group in NGRAM_PATTERNS order.
+_PATTERNS_BY_FIRST_TAG = {p[0]: tuple(q for q in NGRAM_PATTERNS if q[0] == p[0])
+                          for p in NGRAM_PATTERNS}
+
 NGRAM_JOINER = "_"
 
 DEFAULT_MIN_CAPTION_FREQ_UNIGRAM = 5
@@ -135,8 +139,8 @@ def extract_ngrams(tagged: Sequence[Token]) -> list[str]:
     if any(tag is None for tag in tags):
         raise ValueError("extract_ngrams requires POS-tagged tokens")
     out = []
-    for start in range(len(tagged)):
-        for pattern in NGRAM_PATTERNS:
+    for start, tag in enumerate(tags):
+        for pattern in _PATTERNS_BY_FIRST_TAG.get(tag, ()):
             end = start + len(pattern)
             if end <= len(tagged) and tuple(tags[start:end]) == pattern:
                 out.append(NGRAM_JOINER.join(t.surface for t in tagged[start:end]))

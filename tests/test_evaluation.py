@@ -89,6 +89,83 @@ class TestRelevance:
             relevance(("a",), [])
 
 
+def dp_lcs_length(a, b):
+    """Reference LCS length: the classic two-row dynamic programme."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[len(b)]
+
+
+def dp_relevance(query_tokens, reference_captions, beta, aggregate):
+    """Reference relevance: ROUGE-L on dp_lcs_length, in the float expression
+    and evaluation order the scores have always had."""
+    scores = []
+    for ref in reference_captions:
+        lcs = dp_lcs_length(query_tokens, ref)
+        if lcs == 0:
+            scores.append(0.0)
+            continue
+        recall = lcs / len(ref)
+        precision = lcs / len(query_tokens)
+        scores.append(((1 + beta**2) * recall * precision) / (recall + beta**2 * precision))
+    return max(scores) if aggregate == "max" else sum(scores) / len(scores)
+
+
+def token_lists(alphabet_size, max_size):
+    return st.lists(st.integers(0, alphabet_size - 1).map(lambda i: f"t{i}"),
+                    max_size=max_size)
+
+
+class TestBitParallelLcsIsExact:
+    """lcs_length and relevance run a bit-parallel LCS; each must equal the
+    dynamic programme exactly, scores bit for bit."""
+
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(token_lists(k, 40),
+                                                         token_lists(k, 40))))
+    def test_small_alphabets_heavy_repetition(self, pair):
+        a, b = pair
+        assert lcs_length(a, b) == lcs_length(b, a) == dp_lcs_length(a, b)
+
+    @given(token_lists(4, 200), token_lists(4, 200))
+    def test_lengths_past_machine_words(self, a, b):
+        assert lcs_length(a, b) == dp_lcs_length(a, b)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 300])
+    def test_word_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            a = [f"t{i}" for i in rng.integers(0, 3, n)]
+            b = [f"t{i}" for i in rng.integers(0, 3, int(rng.integers(0, 2 * n)))]
+            assert lcs_length(a, b) == lcs_length(b, a) == dp_lcs_length(a, b)
+        assert lcs_length(["x"] * n, ["x"] * n) == n
+        assert lcs_length(["x"] * n, ["y"] * n) == 0
+
+    @given(token_lists(5, 15))
+    def test_empty_sides(self, a):
+        assert lcs_length(a, []) == lcs_length([], a) == 0
+
+    @pytest.mark.parametrize("aggregate", ["max", "mean"])
+    @pytest.mark.parametrize("beta", [1.0, 1.2, 3.0])
+    @given(query=token_lists(6, 14),
+           refs=st.lists(token_lists(6, 14), min_size=1, max_size=5))
+    def test_relevance_bitwise(self, aggregate, beta, query, refs):
+        got = relevance(tuple(query), [tuple(r) for r in refs], beta, aggregate)
+        assert repr(got) == repr(dp_relevance(query, refs, beta, aggregate))
+
+    @given(token_lists(6, 14), token_lists(6, 14))
+    def test_rouge_l_bitwise(self, a, b):
+        assert repr(rouge_l(a, b)) == repr(dp_relevance(a, [b], 1.2, "max"))
+
+
 class TestDcg:
     def test_all_zero(self):
         assert dcg([0.0, 0.0, 0.0]) == 0.0
@@ -300,6 +377,17 @@ class TestBatchedModelRankings:
         assert zero.ids() == [0, 1, 2, 3, 4, 5] and zero.distances() == [1.0] * 6
         assert zero.query_id == 99
 
+    def test_each_query_encoded_once_for_every_model(self, monkeypatch):
+        texts = []
+        encode = Vocabulary.encode_text
+        monkeypatch.setattr(Vocabulary, "encode_text",
+                            lambda vocab, text: texts.append(text) or encode(vocab, text))
+        methods = rank_functions(["text2vis", "visreg"], self.collection, self.vocab,
+                                 lambda name: self.model, p=6)
+        got = {name: fn(self.queries) for name, fn in methods.items()}
+        assert sorted(texts) == sorted(q.text for q in self.queries)
+        assert [r.ids() for r in got["text2vis"]] == [r.ids() for r in got["visreg"]]
+
     def test_rankings_count_must_match_queries(self):
         with pytest.raises(ValueError, match="gave 0 rankings for 1 queries"):
             evaluate({"m": lambda queries: []}, self.queries[:1], {})
@@ -374,6 +462,46 @@ class TestEvaluate:
             evaluate({}, self.queries, self.captions)
         with pytest.raises(ValueError):
             evaluate({"m": constant_method(self.ranking)}, [], self.captions)
+
+
+class TestRelevanceCallContract:
+    """evaluate calls relevance through the module global, once per distinct
+    (query, retrieved image): a wrapper put there sees every scoring."""
+
+    def test_one_call_per_distinct_query_and_image(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        words = [f"w{i}" for i in range(8)]
+        captions = {i: [tuple(rng.choice(words, size=5)) for _ in range(2)]
+                    for i in range(12)}
+        queries = [Query(i, "", captions[i][0]) for i in range(6)]
+        ids = np.arange(12)
+
+        def fixed(seed, k):
+            r = np.random.default_rng(seed)
+            return lambda qs: [rrank_ranking(ids, r, k) for _ in qs]
+
+        def methods():
+            return {"a": fixed(1, 7), "b": fixed(2, 9), "c": fixed(1, 7)}
+
+        want = evaluate(methods(), queries, captions, p=8)
+        query_of = {id(q.tokens): q.image_id for q in queries}
+        image_of = {id(refs): i for i, refs in captions.items()}
+        calls = []
+        real = evaluation.relevance
+
+        def counting(query_tokens, refs, *args):
+            calls.append((query_of[id(query_tokens)], image_of[id(refs)]))
+            return real(query_tokens, refs, *args)
+
+        monkeypatch.setattr(evaluation, "relevance", counting)
+        got = evaluate(methods(), queries, captions, p=8)
+        assert got.dcg_by_method == want.dcg_by_method
+        assert got.query_ids == want.query_ids
+        distinct = {(q.image_id, image_id) for fn in methods().values()
+                    for q, ranking in zip(queries, fn(queries))
+                    for image_id in ranking.ids()[:8]}
+        assert calls
+        assert sorted(calls) == sorted(distinct)
 
 
 class TestRRankEstimatesCorpusPrior:

@@ -121,6 +121,37 @@ class TestExtractNgrams:
         assert len(extract_ngrams(toks)) <= bound
 
 
+def scan_every_pattern(tagged_tokens):
+    """Reference extract_ngrams: every pattern tried at every start."""
+    tags = [t.pos for t in tagged_tokens]
+    out = []
+    for start in range(len(tagged_tokens)):
+        for pattern in textvec.NGRAM_PATTERNS:
+            end = start + len(pattern)
+            if end <= len(tagged_tokens) and tuple(tags[start:end]) == pattern:
+                out.append(textvec.NGRAM_JOINER.join(t.surface
+                                                     for t in tagged_tokens[start:end]))
+    return out
+
+
+class TestExtractNgramsMatchesFullScan:
+    """extract_ngrams tries only the patterns that begin with the current tag;
+    its output, order included, must be that of trying every pattern."""
+
+    @given(st.lists(st.tuples(st.sampled_from(["dog", "sits", "red", "up", "2"]),
+                              st.sampled_from(sorted(textvec.POS_TAGS))), max_size=30))
+    def test_random_tag_sequences(self, pairs):
+        toks = tagged(*pairs)
+        assert extract_ngrams(toks) == scan_every_pattern(toks)
+
+    def test_synthetic_captions(self, synth_default):
+        images, _ = synth_default
+        for img in images[:300]:
+            for caption in img.captions:
+                toks = pos_tag(tokenize(caption))
+                assert extract_ngrams(toks) == scan_every_pattern(toks)
+
+
 def corpus_of(*captions):
     return [tokenize(c) for c in captions]
 

@@ -1,0 +1,101 @@
+"""Hash every output of a fixed desk-scale text2vis pipeline.
+
+Runs gen-synth, build-vocab, four trainings, two evals and two searches with
+fixed flags in a temporary directory, then prints `sha256  relative/path` for
+each file it wrote, sorted by path.  With --expect FILE it compares the
+listing against FILE (same format) and exits 1 on any difference, so a change
+meant to keep every output byte-identical can be checked in one command:
+
+    python3 tools/desk_digest.py > listing.txt
+    python3 tools/desk_digest.py --expect tools/desk_sha256.txt
+
+Checkpoint bytes can depend on the BLAS build and its thread count, so a
+listing is a check between two commits on one machine, not a portable file;
+continuous integration does not run it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_DATA = ["--captions", "ds/captions.json", "--features", "ds/features.t2vf",
+         "--vocab", "vocab.txt"]
+_TRAIN = ["train", *_DATA, "--hidden", "128", "--max-iters", "600",
+          "--eval-every", "100", "--seed", "3"]
+_SEARCH = ["--checkpoint", "sl/checkpoint.t2vm", "--vocab", "vocab.txt",
+           "--features", "ds/features.t2vf"]
+
+COMMANDS = [
+    ["gen-synth", "--out", "ds"],
+    ["build-vocab", "--captions", "ds/captions.json", "--out", "vocab.txt"],
+    [*_TRAIN, "--strategy", "sl", "--out", "sl"],
+    [*_TRAIN, "--strategy", "aggregated", "--lambda", "1", "--out", "agg1"],
+    [*_TRAIN, "--strategy", "aggregated", "--lambda", "0", "--out", "agg0"],
+    [*_TRAIN, "--strategy", "visreg", "--out", "visreg"],
+    ["eval", *_DATA, "--methods", "text2vis,visreg,vissim,rrank",
+     "--checkpoint", "text2vis=sl/checkpoint.t2vm",
+     "--checkpoint", "visreg=visreg/checkpoint.t2vm", "--out", "eval"],
+    ["eval", *_DATA, "--methods", "text2vis,vissim,rrank",
+     "--checkpoint", "text2vis=sl/checkpoint.t2vm", "--include-self",
+     "--split", "all", "--out", "eval_self"],
+]
+
+
+def _text2vis(argv: list[str], cwd: Path) -> str:
+    """Run one text2vis command in cwd; its stdout, or exit on failure."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "text2vis.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"text2vis {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
+
+
+def run_pipeline(work: Path) -> None:
+    """Write every output of the command set under work."""
+    for argv in COMMANDS:
+        _text2vis(argv, work)
+    terms = (work / "vocab.txt").read_text(encoding="utf-8").split()
+    searches = [_text2vis(["search", terms[0], *_SEARCH, "--k", "10"], work),
+                _text2vis(["search", terms[0], terms[4], *_SEARCH, "--k", "5"], work)]
+    (work / "search.txt").write_text("".join(searches), encoding="utf-8")
+
+
+def digest(work: Path) -> list[str]:
+    """`sha256  relative/path` for every file under work, sorted by path."""
+    files = sorted(p for p in work.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(work).as_posix()}"
+            for p in files]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--expect", help="listing to compare against; exit 1 on any difference")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="desk_digest_") as tmp:
+        run_pipeline(Path(tmp))
+        lines = digest(Path(tmp))
+    print("\n".join(lines))
+    if args.expect is None:
+        return 0
+    expected = Path(args.expect).read_text(encoding="utf-8").splitlines()
+    missing, extra = sorted(set(expected) - set(lines)), sorted(set(lines) - set(expected))
+    for line in missing:
+        print(f"expected: {line}", file=sys.stderr)
+    for line in extra:
+        print(f"got:      {line}", file=sys.stderr)
+    print(f"{len(lines)} files, {len(missing)} expected lines not matched", file=sys.stderr)
+    return 1 if missing or extra else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
