@@ -199,7 +199,7 @@ def collection_queries(
         collection: Sequence[CaptionedImage]) -> tuple[list[Query], dict[int, list[tuple[str, ...]]]]:
     """One query per image (its first caption), and every image's tokenized captions."""
     captions_tokens = {
-        img.image_id: [tuple(t.surface for t in textvec.tokenize(c)) for c in img.captions]
+        img.image_id: [tuple(textvec.tokenize(c)) for c in img.captions]
         for img in collection}
     queries = [Query(image_id=img.image_id, text=img.captions[0],
                      tokens=captions_tokens[img.image_id][0])

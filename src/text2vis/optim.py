@@ -228,6 +228,10 @@ def encode_dataset(images: Sequence[CaptionedImage], vocab: Vocabulary) -> Encod
     if len(dims) != 1:
         raise ValueError(f"inconsistent feature shapes: {sorted(dims)}")
     features = np.stack([img.feature for img in images]).astype(np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        bad = images[int(np.argmin(finite))].image_id
+        raise ValueError(f"non-finite feature for image id {bad}")
     caption_indices = [
         [np.asarray(vocab.encode_text(c).on_indices, dtype=np.intp) for c in img.captions]
         for img in images

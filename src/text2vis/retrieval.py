@@ -75,7 +75,8 @@ def build_index(ids, vectors) -> VisualIndex:
     The rows are converted to float64 and divided by their norms block by
     block, straight into the index, so no other array the size of the
     collection is made.  Each row is bitwise that of the whole-matrix
-    expression `mat / np.linalg.norm(mat, axis=1)[:, None]`.
+    expression `mat / np.linalg.norm(mat, axis=1)[:, None]`.  A zero row or
+    one holding a non-finite value is rejected, naming its image id.
     """
     id_arr = np.asarray(list(ids), dtype=np.int64)
     mat = np.asarray(vectors)
@@ -92,10 +93,12 @@ def build_index(ids, vectors) -> VisualIndex:
         block = unit[start:start + rows]
         block[...] = mat[start:start + rows]
         norms = np.linalg.norm(block, axis=1)
-        if (norms == 0).any():
-            bad = int(id_arr[start + int(np.argmax(norms == 0))])
-            raise ValueError(f"zero vector for image id {bad}")
         safe &= bool(((norms >= _SAFE_NORMS[0]) & (norms <= _SAFE_NORMS[1])).all())
+        if not safe:  # a zero, nan or infinite norm is outside the safe range too
+            nonfinite = ~np.isfinite(block).all(axis=1)  # a finite row's norm can overflow
+            for bad, what in ((norms == 0, "zero"), (nonfinite, "non-finite")):
+                if bad.any():
+                    raise ValueError(f"{what} vector for image id {id_arr[start + bad.argmax()]}")
         block /= norms[:, None]
     return VisualIndex(ids=id_arr, vectors=unit, safe_norms=safe)
 

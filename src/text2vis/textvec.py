@@ -49,20 +49,6 @@ _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
 
 @dataclass(frozen=True)
-class Token:
-    """A lowercase word, optionally carrying a coarse POS tag."""
-
-    surface: str
-    pos: str | None = None
-
-    def __post_init__(self):
-        if not self.surface:
-            raise ValueError("token surface must be non-empty")
-        if self.pos is not None and self.pos not in POS_TAGS:
-            raise ValueError(f"unknown POS tag {self.pos!r}")
-
-
-@dataclass(frozen=True)
 class BowVector:
     """Sparse binary vector: the sorted indices of active vocabulary terms."""
 
@@ -82,10 +68,10 @@ class BowVector:
         return dense
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[str]:
     """Lowercase, treat every non-alphanumeric character as a separator, split."""
     parts = _TOKEN_SPLIT.split(text.lower())
-    return [Token(p) for p in parts if p]
+    return [p for p in parts if p]
 
 
 def load_lexicon(path) -> dict[str, str]:
@@ -113,50 +99,39 @@ def default_lexicon() -> dict[str, str]:
         return load_lexicon(path)
 
 
-def pos_tag(tokens: Sequence[Token], lexicon: dict[str, str] | None = None) -> list[Token]:
-    """Assign each token a coarse tag by lexicon lookup; unknown words get OTHER.
+def pos_tag(tokens: Sequence[str]) -> list[str]:
+    """Each token's coarse tag by lookup in the bundled lexicon; unknown words get OTHER.
 
     Tokens made of digits only are tagged NUM.
     """
-    if lexicon is None:
-        lexicon = default_lexicon()
-    tagged = []
-    for tok in tokens:
-        if tok.surface.isdigit():
-            tag = "NUM"
-        else:
-            tag = lexicon.get(tok.surface, "OTHER")
-        tagged.append(Token(tok.surface, tag))
-    return tagged
+    lexicon = default_lexicon()
+    return ["NUM" if tok.isdigit() else lexicon.get(tok, "OTHER") for tok in tokens]
 
 
-def extract_ngrams(tagged: Sequence[Token]) -> list[str]:
-    """All (possibly overlapping) token windows matching one of NGRAM_PATTERNS.
+def extract_ngrams(tokens: Sequence[str], tags: Sequence[str]) -> list[str]:
+    """All (possibly overlapping) token windows whose tags match one of
+    NGRAM_PATTERNS; tags[i] is the tag of tokens[i].
 
-    Each match is emitted as the surfaces joined with underscores, in scan order.
+    Each match is emitted as the tokens joined with underscores, in scan order.
     """
-    tags = [t.pos for t in tagged]
-    if any(tag is None for tag in tags):
-        raise ValueError("extract_ngrams requires POS-tagged tokens")
+    if len(tags) != len(tokens):
+        raise ValueError(f"{len(tags)} tags for {len(tokens)} tokens")
     out = []
     for start, tag in enumerate(tags):
         for pattern in _PATTERNS_BY_FIRST_TAG.get(tag, ()):
             end = start + len(pattern)
-            if end <= len(tagged) and tuple(tags[start:end]) == pattern:
-                out.append(NGRAM_JOINER.join(t.surface for t in tagged[start:end]))
+            if end <= len(tags) and tuple(tags[start:end]) == pattern:
+                out.append(NGRAM_JOINER.join(tokens[start:end]))
     return out
 
 
-def caption_terms(tokens: Sequence[Token], mode: str,
-                  lexicon: dict[str, str] | None = None) -> list[str]:
+def caption_terms(tokens: Sequence[str], mode: str) -> list[str]:
     """The terms a caption contributes: unigrams, plus pattern n-grams in ngram mode."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    terms = [t.surface for t in tokens]
+    terms = list(tokens)
     if mode == MODE_NGRAM:
-        if any(t.pos is None for t in tokens):
-            tokens = pos_tag(tokens, lexicon)
-        terms.extend(extract_ngrams(tokens))
+        terms.extend(extract_ngrams(tokens, pos_tag(tokens)))
     return terms
 
 
@@ -177,9 +152,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
     def encode_terms(self, terms: Iterable[str]) -> BowVector:
         """Binary encoding of the given terms; out-of-vocabulary terms are dropped."""
         hits = {self.index[t] for t in terms if t in self.index}
@@ -199,16 +171,17 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """Load a saved vocabulary; the mode is inferred from the terms."""
         with open(path, encoding="utf-8") as fh:
-            terms = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+            terms = [line.rstrip("\n") for line in fh]
+        if "" in terms:  # a skipped line would shift every later term's index
+            raise ValueError(f"{path}:{terms.index('') + 1}: empty term")
         # The tokenizer strips underscores, so only joined n-grams contain them.
         mode = MODE_NGRAM if any(NGRAM_JOINER in t for t in terms) else MODE_UNIGRAM
         return cls(terms, mode)
 
 
-def build_vocabulary(corpus: Iterable[Sequence[Token]], mode: str,
+def build_vocabulary(corpus: Iterable[Sequence[str]], mode: str,
                      min_caption_freq_unigram: int = DEFAULT_MIN_CAPTION_FREQ_UNIGRAM,
-                     min_caption_freq_ngram: int = DEFAULT_MIN_CAPTION_FREQ_NGRAM,
-                     lexicon: dict[str, str] | None = None) -> Vocabulary:
+                     min_caption_freq_ngram: int = DEFAULT_MIN_CAPTION_FREQ_NGRAM) -> Vocabulary:
     """Build a vocabulary from tokenized captions by caption-frequency thresholding.
 
     A term's caption frequency is the number of distinct captions containing it.
@@ -223,7 +196,7 @@ def build_vocabulary(corpus: Iterable[Sequence[Token]], mode: str,
     n_captions = 0
     for tokens in corpus:
         n_captions += 1
-        caption_freq.update(set(caption_terms(tokens, mode, lexicon)))
+        caption_freq.update(set(caption_terms(tokens, mode)))
     if n_captions == 0:
         raise ValueError("corpus is empty")
 

@@ -274,6 +274,16 @@ class TestSearch:
         assert "out-of-vocabulary" in captured.err
         assert len(captured.out.strip().splitlines()) == 3
 
+    def test_vocab_with_empty_line_fails(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        terms = (root / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / "vocab.txt"
+        bad.write_text("\n".join([terms[0], "", *terms[1:]]) + "\n", encoding="utf-8")
+        assert main(["search", terms[0], "--checkpoint",
+                     str(root / "run_sl" / "checkpoint.t2vm"), "--vocab", str(bad),
+                     "--features", str(root / "ds" / "features.t2vf")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: empty term\n"
+
     def test_oov_query_on_fresh_model_ranks_by_id(self, workspace, tmp_path, capsys):
         root, _ = workspace
         vocab = textvec.Vocabulary.load(root / "vocab.txt")

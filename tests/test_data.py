@@ -235,8 +235,8 @@ class TestDefaultConfigProperties:
     def test_same_topic_rouge_exceeds_cross_topic(self, synth_default):
         # expected ROUGE-L per image pair, estimated over all caption pairs
         images, truth = synth_default
-        toks = {img.image_id: [tuple(t.surface for t in textvec.tokenize(c))
-                               for c in img.captions] for img in images}
+        toks = {img.image_id: [tuple(textvec.tokenize(c)) for c in img.captions]
+                for img in images}
         by_id = {img.image_id: img for img in images}
         ids = list(by_id)
         rng = np.random.default_rng(1)

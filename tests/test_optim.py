@@ -295,11 +295,22 @@ class TestSlTrain:
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_loss_diagnostic(self, tiny):
         vocab, tr, va = tiny
-        bad = CaptionedImage(0, ["dog runs here"],
-                             np.full(16, np.inf, dtype=np.float32))
-        bad_set = encode_dataset([bad] * 20, vocab)
+        img = CaptionedImage(0, ["dog runs here"], np.zeros(16, dtype=np.float32))
+        bad_set = encode_dataset([img] * 20, vocab)
+        bad_set.features[:] = np.inf  # encode_dataset itself rejects such targets
         with pytest.raises(TrainingDiverged, match="iteration 1"):
             sl_train(bad_set, va, tiny_model(vocab), tiny_config(sl_prob_visual=1.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_validation_feature_rejected(self, tiny, value):
+        # a NaN target would make every val_loss_v nan, so training would run
+        # its whole budget and return the untrained iteration-0 model
+        vocab, _, _ = tiny
+        images = [CaptionedImage(i, ["dog runs here"], np.ones(16, dtype=np.float32))
+                  for i in range(10, 15)]
+        images[3].feature[5] = value
+        with pytest.raises(ValueError, match="non-finite feature for image id 13"):
+            encode_dataset(images, vocab)
 
 
 class TestEarlyStopInTraining:

@@ -266,6 +266,17 @@ class TestExactAgainstReference:
             with pytest.raises(ValueError, match="zero vector for image id 17"):
                 build_index(range(10, 20), rows)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nonfinite_row_reported_from_a_later_block(self, value, dtype):
+        # such a row would rank last with distance nan and turn the shortlist
+        # off for the whole index
+        rows = np.ones((10, 4), dtype=dtype)
+        rows[7, 2] = value
+        with mock.patch.object(retrieval, "_BUILD_BLOCK", 12):  # 3 rows per block
+            with pytest.raises(ValueError, match="non-finite vector for image id 17"):
+                build_index(range(10, 20), rows)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-160, 1e-152, 1e152, 1e200])
     def test_norms_outside_the_safe_range_score_every_candidate(self, scale):

@@ -1,57 +1,50 @@
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from text2vis import textvec
-from text2vis.textvec import (BowVector, Token, Vocabulary, build_vocabulary,
+from text2vis.textvec import (BowVector, Vocabulary, build_vocabulary,
                               caption_terms, extract_ngrams,
                               load_lexicon, pos_tag, tokenize)
 
 
-def surfaces(tokens):
-    return [t.surface for t in tokens]
-
-
 class TestTokenize:
     def test_basic_caption(self):
-        assert surfaces(tokenize("A woman cutting a pizza.")) == \
+        assert tokenize("A woman cutting a pizza.") == \
             ["a", "woman", "cutting", "a", "pizza"]
 
     def test_empty(self):
         assert tokenize("") == []
 
     def test_punctuation_becomes_separator(self):
-        assert surfaces(tokenize("Stop-sign, red!")) == ["stop", "sign", "red"]
+        assert tokenize("Stop-sign, red!") == ["stop", "sign", "red"]
 
     def test_digits_survive(self):
-        assert surfaces(tokenize("2 dogs")) == ["2", "dogs"]
+        assert tokenize("2 dogs") == ["2", "dogs"]
 
     def test_tokens_carry_no_pos(self):
-        assert all(t.pos is None for t in tokenize("a dog"))
+        assert all(type(t) is str for t in tokenize("a dog"))  # plain words, no tag
 
 
 class TestPosTag:
     def test_lexicon_lookup(self):
-        tags = [t.pos for t in pos_tag(tokenize("woman cutting pizza"))]
-        assert tags == ["NOUN", "VERB", "NOUN"]
+        assert pos_tag(tokenize("woman cutting pizza")) == ["NOUN", "VERB", "NOUN"]
 
     def test_empty(self):
         assert pos_tag([]) == []
 
     def test_number_word(self):
-        tags = [t.pos for t in pos_tag(tokenize("two dogs"))]
-        assert tags == ["NUM", "NOUN"]
+        assert pos_tag(tokenize("two dogs")) == ["NUM", "NOUN"]
 
     def test_unknown_word_gets_other(self):
-        (tok,) = pos_tag([Token("zzyzxq")])
-        assert tok.pos == "OTHER"
+        assert pos_tag(["zzyzxq"]) == ["OTHER"]
 
     def test_digit_token_gets_num(self):
-        (tok,) = pos_tag([Token("42")])
-        assert tok.pos == "NUM"
-
-    def test_custom_lexicon(self):
-        (tok,) = pos_tag([Token("frobnicate")], lexicon={"frobnicate": "VERB"})
-        assert tok.pos == "VERB"
+        assert pos_tag(["42"]) == ["NUM"]
 
 
 class TestLexiconFile:
@@ -74,20 +67,21 @@ class TestLexiconFile:
 
 
 def tagged(*pairs):
-    return [Token(s, p) for s, p in pairs]
+    """(tokens, tags) from (token, tag) pairs."""
+    return [s for s, _ in pairs], [p for _, p in pairs]
 
 
 class TestExtractNgrams:
     def test_noun_verb(self):
-        assert extract_ngrams(tagged(("woman", "NOUN"), ("cutting", "VERB"))) == \
+        assert extract_ngrams(*tagged(("woman", "NOUN"), ("cutting", "VERB"))) == \
             ["woman_cutting"]
 
     def test_adj_noun_only(self):
         toks = tagged(("red", "ADJ"), ("sign", "NOUN"), ("two", "NUM"))
-        assert extract_ngrams(toks) == ["red_sign"]
+        assert extract_ngrams(*toks) == ["red_sign"]
 
     def test_no_match(self):
-        assert extract_ngrams(tagged(("a", "OTHER"), ("a", "OTHER"))) == []
+        assert extract_ngrams(*tagged(("a", "OTHER"), ("a", "OTHER"))) == []
 
     def test_all_patterns_fire(self):
         cases = {
@@ -101,36 +95,35 @@ class TestExtractNgrams:
         }
         for pattern, expect in cases.items():
             toks = tagged(*zip("abc", pattern))
-            assert expect in extract_ngrams(toks), pattern
+            assert expect in extract_ngrams(*toks), pattern
 
     def test_overlapping_windows(self):
         # NOUN VERB VERB matches NOUN-VERB, NOUN-VERB-VERB and VERB-VERB
         toks = tagged(("dog", "NOUN"), ("sits", "VERB"), ("staring", "VERB"))
-        assert sorted(extract_ngrams(toks)) == \
+        assert sorted(extract_ngrams(*toks)) == \
             ["dog_sits", "dog_sits_staring", "sits_staring"]
 
-    def test_untagged_rejected(self):
-        with pytest.raises(ValueError, match="POS-tagged"):
-            extract_ngrams([Token("dog")])
+    @pytest.mark.parametrize("n_tags", [1, 3])
+    def test_length_mismatch_rejected(self, n_tags):
+        with pytest.raises(ValueError, match=f"{n_tags} tags for 2 tokens"):
+            extract_ngrams(["dog", "sits"], ["NOUN", "VERB", "VERB"][:n_tags])
 
     @given(st.lists(st.sampled_from(["NOUN", "VERB", "ADJ", "PRT", "NUM", "OTHER"]),
                     max_size=12))
     def test_count_bound(self, tags):
-        toks = [Token(f"w{i}", tag) for i, tag in enumerate(tags)]
+        toks = [f"w{i}" for i in range(len(tags))]
         bound = max(0, len(tags) - 1) * len(textvec.NGRAM_PATTERNS)
-        assert len(extract_ngrams(toks)) <= bound
+        assert len(extract_ngrams(toks, tags)) <= bound
 
 
-def scan_every_pattern(tagged_tokens):
+def scan_every_pattern(tokens, tags):
     """Reference extract_ngrams: every pattern tried at every start."""
-    tags = [t.pos for t in tagged_tokens]
     out = []
-    for start in range(len(tagged_tokens)):
+    for start in range(len(tokens)):
         for pattern in textvec.NGRAM_PATTERNS:
             end = start + len(pattern)
-            if end <= len(tagged_tokens) and tuple(tags[start:end]) == pattern:
-                out.append(textvec.NGRAM_JOINER.join(t.surface
-                                                     for t in tagged_tokens[start:end]))
+            if end <= len(tokens) and tuple(tags[start:end]) == pattern:
+                out.append(textvec.NGRAM_JOINER.join(tokens[start:end]))
     return out
 
 
@@ -142,14 +135,109 @@ class TestExtractNgramsMatchesFullScan:
                               st.sampled_from(sorted(textvec.POS_TAGS))), max_size=30))
     def test_random_tag_sequences(self, pairs):
         toks = tagged(*pairs)
-        assert extract_ngrams(toks) == scan_every_pattern(toks)
+        assert extract_ngrams(*toks) == scan_every_pattern(*toks)
 
     def test_synthetic_captions(self, synth_default):
         images, _ = synth_default
         for img in images[:300]:
             for caption in img.captions:
-                toks = pos_tag(tokenize(caption))
-                assert extract_ngrams(toks) == scan_every_pattern(toks)
+                tokens = tokenize(caption)
+                tags = pos_tag(tokens)
+                assert extract_ngrams(tokens, tags) == scan_every_pattern(tokens, tags)
+
+
+# A reference pipeline with one object per word: a token carries its surface
+# and, once tagged, its POS tag.  caption_terms over plain strings must give
+# the same terms, in the same order.
+
+@dataclass(frozen=True)
+class _RefToken:
+    surface: str
+    pos: str | None = None
+
+    def __post_init__(self):
+        if not self.surface:
+            raise ValueError("token surface must be non-empty")
+        if self.pos is not None and self.pos not in textvec.POS_TAGS:
+            raise ValueError(f"unknown POS tag {self.pos!r}")
+
+
+def _ref_tokenize(text):
+    parts = re.split(r"[^a-z0-9]+", text.lower())
+    return [_RefToken(p) for p in parts if p]
+
+
+def _ref_pos_tag(tokens, lexicon=None):
+    if lexicon is None:
+        lexicon = textvec.default_lexicon()
+    tagged_tokens = []
+    for tok in tokens:
+        if tok.surface.isdigit():
+            tag = "NUM"
+        else:
+            tag = lexicon.get(tok.surface, "OTHER")
+        tagged_tokens.append(_RefToken(tok.surface, tag))
+    return tagged_tokens
+
+
+def _ref_extract_ngrams(tagged_tokens):
+    tags = [t.pos for t in tagged_tokens]
+    if any(tag is None for tag in tags):
+        raise ValueError("extract_ngrams requires POS-tagged tokens")
+    out = []
+    for start, tag in enumerate(tags):
+        for pattern in textvec.NGRAM_PATTERNS:
+            if pattern[0] != tag:
+                continue
+            end = start + len(pattern)
+            if end <= len(tagged_tokens) and tuple(tags[start:end]) == pattern:
+                out.append(textvec.NGRAM_JOINER.join(
+                    t.surface for t in tagged_tokens[start:end]))
+    return out
+
+
+def _ref_caption_terms(tokens, mode, lexicon=None):
+    if mode not in textvec.MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    terms = [t.surface for t in tokens]
+    if mode == textvec.MODE_NGRAM:
+        if any(t.pos is None for t in tokens):
+            tokens = _ref_pos_tag(tokens, lexicon)
+        terms.extend(_ref_extract_ngrams(tokens))
+    return terms
+
+
+_LEXICON_WORDS = sorted(textvec.default_lexicon())
+
+# Caption-like text: lexicon words, numbers and punctuation, in any case.
+_captions = st.lists(
+    st.one_of(st.sampled_from(_LEXICON_WORDS),
+              st.sampled_from(_LEXICON_WORDS).map(str.upper),
+              st.integers(min_value=0, max_value=10**6).map(str),
+              st.sampled_from([" ", " ", ".", ",", "-", "_", "!", "'", "/", " 2 "])),
+    max_size=40).map("".join)
+
+
+class TestCaptionTermsMatchTokenObjects:
+    """caption_terms over plain-string tokens equals the one-object-per-word
+    reference pipeline, in both modes."""
+
+    @pytest.mark.parametrize("mode", textvec.MODES)
+    def test_default_synthetic_captions(self, synth_default, mode):
+        images, _ = synth_default
+        captions = [c for img in images for c in img.captions]
+        assert len(captions) == 10_000
+        for caption in captions:
+            assert caption_terms(tokenize(caption), mode) == \
+                _ref_caption_terms(_ref_tokenize(caption), mode)
+
+    @pytest.mark.parametrize("mode", textvec.MODES)
+    @settings(max_examples=300)
+    @given(text=_captions)
+    def test_random_text(self, mode, text):
+        assert tokenize(text) == [t.surface for t in _ref_tokenize(text)]
+        assert caption_terms(tokenize(text), mode) == \
+            _ref_caption_terms(_ref_tokenize(text), mode)
 
 
 def corpus_of(*captions):
@@ -161,15 +249,15 @@ class TestBuildVocabulary:
         captions = ["pizza here"] * 4 + ["pizza zebra"] + ["zebra there"] * 3
         vocab = build_vocabulary(corpus_of(*captions), textvec.MODE_UNIGRAM,
                                  min_caption_freq_unigram=5)
-        assert "pizza" in vocab  # 5 captions
-        assert "zebra" not in vocab  # 4 captions
+        assert "pizza" in vocab.index  # 5 captions
+        assert "zebra" not in vocab.index  # 4 captions
 
     def test_caption_frequency_not_occurrences(self):
         # one caption repeating a word three times still counts once
         vocab_corpus = corpus_of("dog dog dog", "dog runs")
         vocab = build_vocabulary(vocab_corpus, textvec.MODE_UNIGRAM,
                                  min_caption_freq_unigram=2)
-        assert "dog" in vocab and "runs" not in vocab
+        assert "dog" in vocab.index and "runs" not in vocab.index
 
     def test_lexicographic_order(self):
         vocab = build_vocabulary(corpus_of("b a c", "c a b"), textvec.MODE_UNIGRAM,
@@ -187,13 +275,13 @@ class TestBuildVocabulary:
     def test_ngram_mode_keeps_both_kinds(self):
         caps = ["red sign"] * 10
         vocab = build_vocabulary(corpus_of(*caps), textvec.MODE_NGRAM)
-        assert "red" in vocab and "sign" in vocab and "red_sign" in vocab
+        assert "red" in vocab.index and "sign" in vocab.index and "red_sign" in vocab.index
 
     def test_ngram_threshold_applies_to_unigrams_too(self):
         caps = ["red sign"] * 10 + ["zebra walks"] * 9
         vocab = build_vocabulary(corpus_of(*caps), textvec.MODE_NGRAM,
                                  min_caption_freq_ngram=10)
-        assert "zebra" not in vocab
+        assert "zebra" not in vocab.index
 
     def test_ngram_superset_at_equal_thresholds(self):
         caps = ["red sign stands there", "two dogs walking out"] * 6
@@ -273,16 +361,15 @@ class TestVocabularyObject:
         Vocabulary(["cat", "dog"], textvec.MODE_UNIGRAM).save(path)
         assert path.read_text(encoding="utf-8") == "cat\ndog\n"
 
+    def test_empty_line_rejected(self, tmp_path):
+        # skipping it would load "dog" at index 1, against the checkpoint's row 2
+        path = tmp_path / "vocab.txt"
+        path.write_text("cat\n\ndog\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"vocab\.txt:2: empty term"):
+            Vocabulary.load(path)
+
 
 class TestTypes:
-    def test_token_requires_surface(self):
-        with pytest.raises(ValueError):
-            Token("")
-
-    def test_token_rejects_bad_tag(self):
-        with pytest.raises(ValueError):
-            Token("dog", "WOOF")
-
     def test_bow_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             BowVector(2, (0, 2))

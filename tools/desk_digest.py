@@ -1,17 +1,20 @@
 """Hash every output of a fixed desk-scale text2vis pipeline.
 
-Runs gen-synth, build-vocab, four trainings, two evals and two searches with
-fixed flags in a temporary directory, then prints `sha256  relative/path` for
-each file it wrote, sorted by path.  With --expect FILE it compares the
-listing against FILE (same format) and exits 1 on any difference, so a change
-meant to keep every output byte-identical can be checked in one command:
+Runs gen-synth, a unigram and an ngram build-vocab, five trainings, three
+evals and three searches with fixed flags in a temporary directory, then
+prints `sha256  relative/path` for each file it wrote, sorted by path.  With
+--expect FILE it compares the listing against FILE (same format) and exits 1
+on any difference, so a change meant to keep every output byte-identical can
+be checked in one command:
 
     python3 tools/desk_digest.py > listing.txt
     python3 tools/desk_digest.py --expect tools/desk_sha256.txt
 
 Checkpoint bytes can depend on the BLAS build and its thread count, so a
-listing is a check between two commits on one machine, not a portable file;
-continuous integration does not run it.
+listing is a check between two commits on one machine, not a portable file.
+Continuous integration runs the tool twice and compares the two listings:
+each command is a fresh process with its own string-hash seed, so any set or
+dict order that leaks into an output shows up as a difference.
 """
 
 from __future__ import annotations
@@ -26,12 +29,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-_DATA = ["--captions", "ds/captions.json", "--features", "ds/features.t2vf",
-         "--vocab", "vocab.txt"]
-_TRAIN = ["train", *_DATA, "--hidden", "128", "--max-iters", "600",
-          "--eval-every", "100", "--seed", "3"]
+_INPUTS = ["--captions", "ds/captions.json", "--features", "ds/features.t2vf"]
+_DATA = [*_INPUTS, "--vocab", "vocab.txt"]
+_DATA_NGRAM = [*_INPUTS, "--vocab", "vocab_ngram.txt"]
+_TRAIN_FLAGS = ["--hidden", "128", "--max-iters", "600", "--eval-every", "100", "--seed", "3"]
+_TRAIN = ["train", *_DATA, *_TRAIN_FLAGS]
 _SEARCH = ["--checkpoint", "sl/checkpoint.t2vm", "--vocab", "vocab.txt",
            "--features", "ds/features.t2vf"]
+_SEARCH_NGRAM = ["--checkpoint", "sl_ngram/checkpoint.t2vm", "--vocab", "vocab_ngram.txt",
+                 "--features", "ds/features.t2vf"]
 
 COMMANDS = [
     ["gen-synth", "--out", "ds"],
@@ -46,6 +52,11 @@ COMMANDS = [
     ["eval", *_DATA, "--methods", "text2vis,vissim,rrank",
      "--checkpoint", "text2vis=sl/checkpoint.t2vm", "--include-self",
      "--split", "all", "--out", "eval_self"],
+    ["build-vocab", "--captions", "ds/captions.json", "--mode", "ngram",
+     "--out", "vocab_ngram.txt"],
+    ["train", *_DATA_NGRAM, *_TRAIN_FLAGS, "--strategy", "sl", "--out", "sl_ngram"],
+    ["eval", *_DATA_NGRAM, "--methods", "text2vis,vissim,rrank",
+     "--checkpoint", "text2vis=sl_ngram/checkpoint.t2vm", "--out", "eval_ngram"],
 ]
 
 
@@ -68,6 +79,13 @@ def run_pipeline(work: Path) -> None:
     searches = [_text2vis(["search", terms[0], *_SEARCH, "--k", "10"], work),
                 _text2vis(["search", terms[0], terms[4], *_SEARCH, "--k", "5"], work)]
     (work / "search.txt").write_text("".join(searches), encoding="utf-8")
+    # The first unigram and the first n-gram term of the ngram vocabulary.
+    ngram_terms = (work / "vocab_ngram.txt").read_text(encoding="utf-8").split()
+    first_unigram = next(t for t in ngram_terms if "_" not in t)
+    first_ngram = next(t for t in ngram_terms if "_" in t)
+    (work / "search_ngram.txt").write_text(
+        _text2vis(["search", first_unigram, first_ngram, *_SEARCH_NGRAM, "--k", "5"], work),
+        encoding="utf-8")
 
 
 def digest(work: Path) -> list[str]:
