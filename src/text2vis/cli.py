@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -119,11 +120,18 @@ def _load_model(path, vocab: textvec.Vocabulary) -> nn.Model:
     return model
 
 
-def _split_for(cfg: dict, images: list[data.CaptionedImage]) -> data.DatasetSplit:
+def _split_fractions(cfg: dict) -> tuple[float, float, float]:
+    """The (train, validation, test) fractions, checked before any input is read."""
     fractions = (1.0 - cfg["val_frac"] - cfg["test_frac"], cfg["val_frac"], cfg["test_frac"])
-    if fractions[0] <= 0:
+    if not (fractions[1] >= 0 and fractions[2] >= 0):
+        raise ValueError("val-frac and test-frac must be >= 0")
+    if not fractions[0] > 0:
         raise ValueError("val-frac + test-frac leave no training data")
-    return data.split_dataset(images, fractions, cfg["split_seed"])
+    return fractions
+
+
+def _split_for(cfg: dict, images: list[data.CaptionedImage]) -> data.DatasetSplit:
+    return data.split_dataset(images, _split_fractions(cfg), cfg["split_seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +188,19 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
+    train_cfg = optim.TrainConfig(
+        batch_size=cfg["batch_size"], max_iterations=cfg["max_iters"],
+        eval_every=cfg["eval_every"], patience=cfg["patience"],
+        sl_prob_visual=cfg["sl_prob_visual"], seed=cfg["seed"],
+        learning_rate=cfg["learning_rate"])
+    train_cfg.validate()
+    if cfg["hidden"] < 1:
+        raise ValueError("hidden must be >= 1")
+    if cfg["seed"] < 0:
+        raise ValueError("seed must be >= 0")
+    if not math.isfinite(cfg["lambda_text"]):
+        raise ValueError("lambda must be finite")
+    _split_fractions(cfg)
     trainers = {"sl": optim.sl_train, "visreg": optim.visreg_train,
                 "aggregated": partial(optim.aggregated_train, text_weight=cfg["lambda_text"])}
 
@@ -195,11 +216,6 @@ def cmd_train(args) -> int:
                           visual_dim=train_set.visual_dim,
                           has_text_branch=cfg["strategy"] != "visreg",
                           seed=cfg["seed"])
-    train_cfg = optim.TrainConfig(
-        batch_size=cfg["batch_size"], max_iterations=cfg["max_iters"],
-        eval_every=cfg["eval_every"], patience=cfg["patience"],
-        sl_prob_visual=cfg["sl_prob_visual"], seed=cfg["seed"],
-        learning_rate=cfg["learning_rate"])
 
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,6 +247,8 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args)
     if cfg["p"] < 1:
         raise ValueError("p must be >= 1")
+    if cfg["split"] != "all":
+        _split_fractions(cfg)
 
     checkpoints: dict[str, str] = {}
     for item in cfg["checkpoint"] or []:

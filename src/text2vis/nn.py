@@ -91,15 +91,34 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
+# Elements per block of truncated_normal's first pass: a block's float64 draws
+# and their rejection test stay in the CPU cache.
+_SAMPLE_BLOCK = 1 << 16
+
+
 def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
-    """Zero-mean normal samples with standard deviation ``std``, rejection-sampled
-    so nothing falls outside two sampling deviations."""
+    """Zero-mean float32 normal samples with standard deviation ``std``,
+    rejection-sampled so nothing falls outside two sampling deviations.
+
+    The first pass draws the array in blocks of _SAMPLE_BLOCK, each written
+    straight into the float32 result; each later round redraws, in ascending
+    flat order, only the positions still rejected and tests only the new
+    values.  The generator makes the draws of whole-array rejection in the same
+    order, so the result is bitwise that sampler's float64 array cast to
+    float32, but no float64 array the size of the result is made."""
     sigma = std / TRUNC_STD_FACTOR
-    out = rng.normal(0.0, sigma, size=shape)
-    bad = np.abs(out) > 2.0 * sigma
-    while bad.any():
-        out[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * sigma
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    rejected = [np.empty(0, dtype=np.intp)]
+    for start in range(0, flat.size, _SAMPLE_BLOCK):
+        draws = rng.normal(0.0, sigma, size=min(_SAMPLE_BLOCK, flat.size - start))
+        flat[start:start + draws.size] = draws
+        rejected.append(start + np.flatnonzero(np.abs(draws) > 2.0 * sigma))
+    rejected = np.concatenate(rejected)
+    while rejected.size:
+        draws = rng.normal(0.0, sigma, size=rejected.size)
+        flat[rejected] = draws
+        rejected = rejected[np.abs(draws) > 2.0 * sigma]
     return out
 
 
@@ -111,7 +130,7 @@ def init_model(vocab_dim: int, hidden_dim: int = 1024, visual_dim: int = 4096,
     rng = np.random.default_rng(seed)
 
     def weights(rows, cols):
-        return truncated_normal(rng, (rows, cols), 1.0 / math.sqrt(cols)).astype(np.float32)
+        return truncated_normal(rng, (rows, cols), 1.0 / math.sqrt(cols))
 
     w_hid = weights(hidden_dim, vocab_dim)
     w_txt = weights(vocab_dim, hidden_dim) if has_text_branch else None

@@ -6,6 +6,7 @@ visual-only loop for the plain regressor, and early stopping on validation loss.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -119,6 +120,8 @@ class TrainConfig:
             raise ValueError("sl_prob_visual must lie in [0, 1]")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
 
 
 @dataclass
@@ -394,6 +397,8 @@ def aggregated_train(train: EncodedDataset, val: EncodedDataset, model: Model,
     """Single Adam over all parameters minimizing visual + text_weight * text loss."""
     if not model.has_text_branch:
         raise ValueError("aggregated training needs the text branch")
+    if not math.isfinite(text_weight):
+        raise ValueError(f"text_weight must be finite, got {text_weight}")
     adam = Adam(alpha=config.learning_rate)
     params = model.params()
 

@@ -304,20 +304,49 @@ class TestValueRanges:
         ("search", ["--k", "-3"], "k must be >= 1"),
         ("eval", ["--p", "0"], "p must be >= 1"),
         ("eval", ["--p", "-1"], "p must be >= 1"),
+        ("train", ["--learning-rate", "0"], "learning_rate must be > 0"),
+        ("train", ["--learning-rate", "nan"], "learning_rate must be > 0"),
+        ("train", ["--batch-size", "0"], "batch_size must be >= 1"),
+        ("train", ["--max-iters", "0"], "max_iterations and eval_every must be >= 1"),
+        ("train", ["--eval-every", "0"], "max_iterations and eval_every must be >= 1"),
+        ("train", ["--sl-prob-visual", "2"], "sl_prob_visual must lie in [0, 1]"),
+        ("train", ["--patience", "-1"], "patience must be >= 0"),
+        ("train", ["--hidden", "0"], "hidden must be >= 1"),
+        ("train", ["--seed", "-1"], "seed must be >= 0"),
+        ("train", ["--lambda", "nan", "--strategy", "aggregated"], "lambda must be finite"),
+        ("train", ["--lambda", "inf"], "lambda must be finite"),
+        ("train", ["--val-frac", "-0.1"], "val-frac and test-frac must be >= 0"),
+        ("train", ["--test-frac", "nan"], "val-frac and test-frac must be >= 0"),
+        ("train", ["--val-frac", "0.5", "--test-frac", "0.5"],
+         "val-frac + test-frac leave no training data"),
+        ("eval", ["--test-frac", "-0.2"], "val-frac and test-frac must be >= 0"),
+        ("eval", ["--val-frac", "0.9", "--test-frac", "0.2"],
+         "val-frac + test-frac leave no training data"),
     ])
     def test_rejected_before_any_input_is_read(self, tmp_path, capsys, command, words,
                                                message):
         # none of these exists: reading any of them would fail with another message
         missing = tmp_path / "missing"
+        assert main(self.argv(command, missing) + words) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not missing.exists()
+
+    @staticmethod
+    def argv(command, missing):
+        """A command line whose every input and output lies under ``missing``."""
         m = lambda name: str(missing / name)
-        argv = {"eval": ["eval", "--captions", m("c.json"), "--features", m("f.t2vf"),
+        return {"eval": ["eval", "--captions", m("c.json"), "--features", m("f.t2vf"),
                          "--vocab", m("v.txt"), "--checkpoint", f"text2vis={m('m.t2vm')}",
                          "--methods", "text2vis,vissim", "--out", m("out")],
                 "search": ["search", "dog", "--checkpoint", m("m.t2vm"), "--vocab", m("v.txt"),
-                           "--features", m("f.t2vf")]}[command]
-        assert main(argv + words) == 1
-        assert capsys.readouterr().err.strip() == f"error: {message}"
-        assert not missing.exists()
+                           "--features", m("f.t2vf")],
+                "train": ["train", "--captions", m("c.json"), "--features", m("f.t2vf"),
+                          "--vocab", m("v.txt"), "--out", m("out")]}[command]
+
+    def test_eval_split_all_ignores_the_fractions(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(self.argv("eval", missing) + ["--split", "all", "--val-frac", "2"]) == 1
+        assert "v.txt" in capsys.readouterr().err
 
     def test_config_file_value_checked_alike(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -327,6 +356,14 @@ class TestValueRanges:
                      "--vocab", str(missing / "v.txt"), "--features", str(missing / "f.t2vf"),
                      "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.strip() == "error: k must be >= 1"
+
+    def test_train_config_file_value_checked_alike(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"batch_size": 0}))
+        missing = tmp_path / "missing"
+        assert main(self.argv("train", missing) + ["--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.strip() == "error: batch_size must be >= 1"
+        assert not missing.exists()
 
 
 class TestConfigFile:

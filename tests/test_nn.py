@@ -1,7 +1,10 @@
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from text2vis import nn
 from text2vis.data import FormatError
@@ -66,6 +69,85 @@ class TestInitModel:
     def test_no_text_branch(self):
         m = init_model(5, 4, 3, has_text_branch=False, seed=0)
         assert m.w_txt is None and m.b_txt is None and not m.has_text_branch
+
+
+def reference_truncated_normal(rng, shape, std):
+    """The whole-array sampler: every value drawn in float64, then each round
+    redraws all rejected positions and re-tests the whole array; cast last."""
+    sigma = std / nn.TRUNC_STD_FACTOR
+    out = rng.normal(0.0, sigma, size=shape)
+    bad = np.abs(out) > 2.0 * sigma
+    while bad.any():
+        out[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * sigma
+    return out.astype(np.float32)
+
+
+_BLOCK = nn._SAMPLE_BLOCK
+
+
+class TestTruncatedNormalMatchesWholeArray:
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.lists(st.integers(0, 700), min_size=1, max_size=2).map(tuple),
+           std=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(0,), std=0.5, seed=1)
+    @example(shape=(4, 0), std=0.5, seed=1)
+    @example(shape=(1, 1), std=0.5, seed=1)
+    @example(shape=(_BLOCK - 1,), std=0.5, seed=2)
+    @example(shape=(_BLOCK,), std=0.5, seed=3)
+    @example(shape=(_BLOCK + 1,), std=0.5, seed=4)
+    @example(shape=(3, _BLOCK + 7), std=0.02, seed=5)  # 4 blocks, the last one short
+    def test_bitwise_and_same_generator_state(self, shape, std, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = nn.truncated_normal(rng, shape, std)
+        want = reference_truncated_normal(ref_rng, shape, std)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_values_at_exactly_two_sampling_deviations_are_kept(self):
+        class Scripted:
+            """A generator whose normal() returns the next scripted unit values."""
+
+            def __init__(self, units):
+                self.units = list(units)
+
+            def normal(self, loc, scale, size):
+                n = int(np.prod(size))
+                out, self.units = self.units[:n], self.units[n:]
+                return loc + scale * np.array(out).reshape(size)
+
+        units = [2.0, -2.0, 3.0, -2.5, 0.25, 5.0, -1.0]
+        got = nn.truncated_normal(Scripted(units), (4,), 0.3)
+        sigma = 0.3 / nn.TRUNC_STD_FACTOR
+        # 3.0 and -2.5 are redrawn as 0.25 and 5.0; then 5.0 as -1.0
+        assert got.tolist() == np.float32(sigma * np.array([2.0, -2.0, 0.25, -1.0])).tolist()
+        assert got.tobytes() == reference_truncated_normal(Scripted(units), (4,), 0.3).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 41])
+    @pytest.mark.parametrize("has_text_branch", [True, False])
+    def test_published_dims_model_equals_reference(self, seed, has_text_branch):
+        vocab, hidden, visual = 10_358, 1024, 4096
+        model = init_model(vocab, hidden, visual, has_text_branch=has_text_branch, seed=seed)
+        rng = np.random.default_rng(seed)
+        for name, (rows, cols) in (("w_hid", (hidden, vocab)), ("w_txt", (vocab, hidden)),
+                                   ("w_vis", (visual, hidden))):
+            if name == "w_txt" and not has_text_branch:
+                assert model.w_txt is None
+                continue
+            want = reference_truncated_normal(rng, (rows, cols), 1.0 / math.sqrt(cols))
+            assert getattr(model, name).tobytes() == want.tobytes(), name
+
+    def test_peak_memory_stays_near_the_float32_weights(self):
+        # no float64 copy of a weight matrix, and no whole-matrix temporaries
+        tracemalloc.start()
+        try:
+            model = init_model(5000, 256, 64, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights = model.w_hid.nbytes + model.w_txt.nbytes + model.w_vis.nbytes
+        assert peak <= 1.25 * weights
 
 
 class TestForward:

@@ -205,6 +205,9 @@ class TestTrainConfig:
             TrainConfig(batch_size=0).validate()
         with pytest.raises(ValueError):
             TrainConfig(sl_prob_visual=1.5).validate()
+        for rate in (0.0, -0.001, float("nan")):
+            with pytest.raises(ValueError, match="learning_rate must be > 0"):
+                TrainConfig(learning_rate=rate).validate()
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +348,15 @@ class TestAggregatedTrain:
         with pytest.raises(ValueError, match="text branch"):
             aggregated_train(tr, va, tiny_model(vocab, text_branch=False),
                              tiny_config())
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_text_weight_rejected_before_any_step(self, tiny, weight):
+        vocab, tr, va = tiny
+        model = tiny_model(vocab)
+        before = model.copy()
+        with pytest.raises(ValueError, match="text_weight must be finite"):
+            aggregated_train(tr, va, model, tiny_config(), text_weight=weight)
+        assert params_equal(model.params(), before.params())
 
     def test_reproducible(self, tiny):
         vocab, tr, va = tiny
