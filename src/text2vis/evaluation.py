@@ -112,25 +112,10 @@ def vissim_ranking(index: VisualIndex, query_feature: np.ndarray,
 
 def predict_and_rank(model: nn.Model, bow: textvec.BowVector, index: VisualIndex,
                      k: int, exclude_id: int | None = None) -> RankedList:
-    """Top-k of the index by distance to the model's visual prediction for bow.
-
-    A zero prediction (a fully out-of-vocabulary query on a fresh model, or a
-    dead ReLU output) has no direction to rank by.  It lies at distance 1.0
-    from every unit-norm candidate, so all of them tie and ascending id decides.
-    """
-    return _rank_prediction(nn.visual_predictions(model, [bow])[0], index, k, exclude_id)
-
-
-def _rank_prediction(pred: np.ndarray, index: VisualIndex, k: int,
-                     exclude_id: int | None) -> RankedList:
-    """predict_and_rank for a prediction already made."""
-    if pred.any():
-        return retrieval.query(index, pred, k, exclude_id=exclude_id)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ids = np.sort(index.ids if exclude_id is None else index.ids[index.ids != exclude_id])
-    return RankedList(entries=[RankEntry(int(i), 1.0) for i in ids[:k]],
-                      query_id=exclude_id)
+    """Top-k of the index by distance to the model's visual prediction for bow;
+    retrieval.query ranks a zero prediction with every candidate tied."""
+    return retrieval.query(index, nn.visual_predictions(model, [bow])[0], k,
+                           exclude_id=exclude_id)
 
 
 @dataclass(frozen=True)
@@ -238,7 +223,7 @@ def rank_functions(names: Sequence[str], collection: Sequence[CaptionedImage],
             for start in range(0, len(queries), nn.BATCH_CHUNK):
                 chunk = queries[start:start + nn.BATCH_CHUNK]
                 preds = nn.visual_predictions(model, [bows[q.text] for q in chunk])
-                rankings += [_rank_prediction(pred, index, p, excluded(q))
+                rankings += [retrieval.query(index, pred, p, exclude_id=excluded(q))
                              for pred, q in zip(preds, chunk)]
             return rankings
         return rank

@@ -172,7 +172,7 @@ def forward(model: Model, text_bow: BowVector) -> ForwardResult:
     """Run the net on one bag-of-words input: forward_batch on a batch of one."""
     _check_input_dim(model, text_bow)
     hidden, text_recon, visual_pred = forward_batch(
-        model, text_bow.to_dense(np.float64)[:, None])
+        model, bow_matrix([text_bow.on_indices], model.vocab_dim))
     return ForwardResult(hidden=hidden[:, 0],
                          text_recon=None if text_recon is None else text_recon[:, 0],
                          visual_pred=visual_pred[:, 0])
@@ -187,8 +187,8 @@ def backward_text(model: Model, text_bow: BowVector,
     if target_bow.dim != model.vocab_dim:
         raise ValueError("target dim does not match vocabulary dim")
     _check_input_dim(model, text_bow)
-    return backward_text_batch(model, text_bow.to_dense(np.float64)[:, None],
-                               target_bow.to_dense(np.float64)[:, None])
+    return backward_text_batch(model, bow_matrix([text_bow.on_indices], model.vocab_dim),
+                               bow_matrix([target_bow.on_indices], model.vocab_dim))
 
 
 def backward_visual(model: Model, text_bow: BowVector,
@@ -199,7 +199,7 @@ def backward_visual(model: Model, text_bow: BowVector,
     if visual_target.shape != (model.visual_dim,):
         raise ValueError("target dim does not match visual dim")
     _check_input_dim(model, text_bow)
-    return backward_visual_batch(model, text_bow.to_dense(np.float64)[:, None],
+    return backward_visual_batch(model, bow_matrix([text_bow.on_indices], model.vocab_dim),
                                  visual_target[:, None])
 
 
@@ -216,7 +216,7 @@ BATCH_CHUNK = 512
 
 def bow_matrix(index_lists, dim: int) -> np.ndarray:
     """The [dim x len(index_lists)] binary input matrix: column j has ones at
-    the indices index_lists[j]."""
+    the indices index_lists[j], a tuple, list or integer array (possibly empty)."""
     out = np.zeros((dim, len(index_lists)))
     for col, idx in enumerate(index_lists):
         out[idx, col] = 1.0
@@ -257,7 +257,7 @@ def visual_predictions(model: Model, bows) -> np.ndarray:
     the last bits."""
     for bow in bows:
         _check_input_dim(model, bow)
-    _, hidden = hidden_batch(model, bow_matrix([list(b.on_indices) for b in bows],
+    _, hidden = hidden_batch(model, bow_matrix([b.on_indices for b in bows],
                                                model.vocab_dim))
     return np.ascontiguousarray(relu(_head(model, "vis", hidden)[1]).T)
 
@@ -284,21 +284,14 @@ def backward_visual_batch(model: Model, inputs: np.ndarray, targets: np.ndarray)
     return _head_backward_batch(model, "vis", *hidden_batch(model, inputs), inputs, targets)
 
 
-def backward_joint_batch(model: Model, inputs: np.ndarray, text_targets: np.ndarray | None,
+def backward_joint_batch(model: Model, inputs: np.ndarray, text_targets: np.ndarray,
                          visual_targets: np.ndarray, text_weight: float):
     """Gradients of visual_loss + text_weight * text_loss over all parameters.
 
-    The hidden layer is computed once and shared by both heads.  With
-    text_weight == 0 the text head is skipped entirely (text_targets may be
-    None), so the shared-parameter gradients are bitwise those of the visual
-    branch alone.
+    The hidden layer is computed once and shared by both heads.
     """
     pre1, hidden = hidden_batch(model, inputs)
     loss_v, grads = _head_backward_batch(model, "vis", pre1, hidden, inputs, visual_targets)
-    if text_weight == 0.0:
-        grads["w_txt"] = np.zeros_like(model.w_txt, dtype=np.float64)
-        grads["b_txt"] = np.zeros_like(model.b_txt, dtype=np.float64)
-        return float("nan"), loss_v, grads
     loss_t, text_grads = _head_backward_batch(model, "txt", pre1, hidden, inputs, text_targets)
     grads["w_hid"] += text_weight * text_grads["w_hid"]
     grads["b_hid"] += text_weight * text_grads["b_hid"]

@@ -33,7 +33,7 @@ class Adam:
 
     def __init__(self, alpha: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, epsilon: float = 1e-8):
-        if alpha <= 0 or epsilon <= 0:
+        if not (alpha > 0 and epsilon > 0):
             raise ValueError("alpha and epsilon must be positive")
         if not (0 < beta1 < 1 and 0 < beta2 < 1):
             raise ValueError("betas must lie in (0, 1)")
@@ -394,24 +394,26 @@ def sl_train(train: EncodedDataset, val: EncodedDataset, model: Model,
 def aggregated_train(train: EncodedDataset, val: EncodedDataset, model: Model,
                      config: TrainConfig, text_weight: float = 1.0,
                      progress=None) -> TrainResult:
-    """Single Adam over all parameters minimizing visual + text_weight * text loss."""
+    """Single Adam minimizing visual + text_weight * text loss; with text_weight
+    0 only the visual branch steps, so the text head and its moments stay put."""
     if not model.has_text_branch:
         raise ValueError("aggregated training needs the text branch")
     if not math.isfinite(text_weight):
         raise ValueError(f"text_weight must be finite, got {text_weight}")
     adam = Adam(alpha=config.learning_rate)
-    params = model.params()
+    with_text = text_weight != 0.0
+    params = model.params() if with_text else model.branch_params("vis")
 
     def step(rng, inputs, visual_targets, text_targets):
-        with_text = text_weight != 0.0
+        if not with_text:
+            loss_v, grads = nn.backward_visual_batch(model, inputs, visual_targets)
+            return {"visual": loss_v}, adam, params, grads
         loss_t, loss_v, grads = nn.backward_joint_batch(
-            model, inputs, text_targets() if with_text else None, visual_targets,
-            text_weight)
-        losses = {"visual": loss_v, "text": loss_t} if with_text else {"visual": loss_v}
-        return losses, adam, params, grads
+            model, inputs, text_targets(), visual_targets, text_weight)
+        return {"visual": loss_v, "text": loss_t}, adam, params, grads
 
     return _run_training(train, val, model, config, step,
-                         track_text=text_weight != 0.0, progress=progress)
+                         track_text=with_text, progress=progress)
 
 
 def visreg_train(train: EncodedDataset, val: EncodedDataset, model: Model,

@@ -18,7 +18,6 @@ class RankedList:
     """Retrieval result: entries in non-decreasing distance, ties by ascending id."""
 
     entries: list[RankEntry]
-    query_id: int | None = None
 
     def ids(self) -> list[int]:
         return [e.image_id for e in self.entries]
@@ -130,17 +129,21 @@ def query(index: VisualIndex, q: np.ndarray, k: int,
     second-order terms.  So i's computed distance is strictly above those of k
     others and, whatever its id, i is not among the top k.  An index or query
     normalized from a norm outside _SAFE_NORMS, or k at least the number of
-    candidates, takes the formula over every candidate.
+    candidates, takes the formula over every candidate.  An all-zero q has no
+    direction: every unit-norm candidate lies at distance 1.0 from it, so all
+    of them tie and ascending id decides.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (index.dim,):
         raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
-    qn = l2_normalize(q)
-
     rows = (np.arange(index.size) if exclude_id is None
             else np.flatnonzero(index.ids != exclude_id))
+    if not q.any():
+        return RankedList(entries=[RankEntry(int(i), 1.0)
+                                   for i in np.sort(index.ids[rows])[:k]])
+    qn = l2_normalize(q)
     if (k < len(rows) and index.safe_norms
             and _SAFE_NORMS[0] <= np.linalg.norm(q) <= _SAFE_NORMS[1]):
         sims = (index.vectors @ qn)[rows]
@@ -150,4 +153,4 @@ def query(index: VisualIndex, q: np.ndarray, k: int,
     dists = np.sqrt(((vectors - qn) ** 2).sum(axis=1))
     order = np.lexsort((ids, dists))[:k]
     entries = [RankEntry(int(ids[i]), float(dists[i])) for i in order]
-    return RankedList(entries=entries, query_id=exclude_id)
+    return RankedList(entries=entries)

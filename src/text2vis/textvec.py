@@ -15,8 +15,6 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .atomic import atomic_write
 
 MODE_UNIGRAM = "unigram"
@@ -61,15 +59,9 @@ class BowVector:
         if list(self.on_indices) != sorted(set(self.on_indices)):
             raise ValueError("on_indices must be sorted and unique")
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        dense = np.zeros(self.dim, dtype=dtype)
-        if self.on_indices:
-            dense[list(self.on_indices)] = 1
-        return dense
-
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, treat every non-alphanumeric character as a separator, split."""
+    """Lowercase, then split on every run of characters outside ASCII a-z and 0-9."""
     parts = _TOKEN_SPLIT.split(text.lower())
     return [p for p in parts if p]
 

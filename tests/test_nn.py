@@ -176,7 +176,7 @@ class TestForward:
             on = tuple(sorted(rng.choice(30, size=rng.integers(1, 10), replace=False)))
             sparse = forward(m, BowVector(30, tuple(int(i) for i in on)))
             dense_hidden = relu(m.w_hid.astype(np.float64)
-                                @ BowVector(30, tuple(int(i) for i in on)).to_dense()
+                                @ nn.bow_matrix([on], 30)[:, 0]
                                 + m.b_hid.astype(np.float64))
             assert np.abs(sparse.hidden - dense_hidden).max() < 1e-12
 
@@ -195,6 +195,19 @@ class TestForward:
     def test_no_text_branch_skips_head(self):
         m = toy_model(text_branch=False)
         assert forward(m, BowVector(4, (1,))).text_recon is None
+
+
+class TestBowMatrix:
+    @pytest.mark.parametrize("indices", [tuple, list,
+                                         lambda on: np.asarray(on, dtype=np.intp)])
+    def test_columns_have_ones_at_their_indices(self, indices):
+        got = nn.bow_matrix([indices((1, 3)), indices(()), indices((0,))], 4)
+        assert got.dtype == np.float64 and got.shape == (4, 3)
+        assert got.T.tolist() == [[0.0, 1.0, 0.0, 1.0], [0.0] * 4, [1.0, 0.0, 0.0, 0.0]]
+
+    def test_bow_vector_column(self):
+        dense = nn.bow_matrix([BowVector(4, (1, 3)).on_indices], 4)[:, 0]
+        assert dense.tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 class TestHiddenBatch:
@@ -296,7 +309,8 @@ class TestBackward:
         bow, target = BowVector(4, (0, 3)), BowVector(4, (1,))
         loss, _ = backward_text(m, bow, target)
         assert loss == pytest.approx(mse(forward(m, bow).text_recon,
-                                         target.to_dense()), abs=1e-12)
+                                         nn.bow_matrix([target.on_indices], 4)[:, 0]),
+                                     abs=1e-12)
 
     def test_visual_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -339,28 +353,13 @@ class TestBackward:
         m = toy_model(rng, vocab=6, hidden=4, visual=3)
         bows = [BowVector(6, (0, 2)), BowVector(6, (1,)), BowVector(6, (3, 4, 5))]
         targets = rng.uniform(0, 1, (3, 3))
-        inputs = np.stack([b.to_dense() for b in bows], axis=1)
+        inputs = nn.bow_matrix([b.on_indices for b in bows], 6)
         loss_b, grads_b = nn.backward_visual_batch(m, inputs, targets.T)
         singles = [backward_visual(m, b, t) for b, t in zip(bows, targets)]
         assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), abs=1e-12)
         for key in grads_b:
             mean_grad = np.mean([s[1][key] for s in singles], axis=0)
             assert np.abs(grads_b[key] - mean_grad).max() < 1e-12
-
-    def test_joint_with_zero_weight_matches_visual(self):
-        rng = np.random.default_rng(12)
-        m = toy_model(rng, vocab=6, hidden=4, visual=3)
-        inputs = np.stack([BowVector(6, (0, 2)).to_dense(),
-                           BowVector(6, (1, 5)).to_dense()], axis=1)
-        vis_targets = rng.uniform(0, 1, (3, 2))
-        txt_targets = np.zeros((6, 2))
-        _, loss_v, grads = nn.backward_joint_batch(m, inputs, txt_targets,
-                                                   vis_targets, 0.0)
-        loss_ref, grads_ref = nn.backward_visual_batch(m, inputs, vis_targets)
-        assert loss_v == loss_ref
-        for key in grads_ref:
-            assert np.array_equal(grads[key], grads_ref[key])
-        assert not grads["w_txt"].any() and not grads["b_txt"].any()
 
 
 class TestParamCount:

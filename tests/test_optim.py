@@ -63,6 +63,10 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam(alpha=0.0)
         with pytest.raises(ValueError):
+            Adam(alpha=math.nan)
+        with pytest.raises(ValueError):
+            Adam(epsilon=math.nan)
+        with pytest.raises(ValueError):
             Adam(beta1=1.0)
 
     def test_float32_params_stay_float32(self):
@@ -330,12 +334,20 @@ class TestEarlyStopInTraining:
 
 
 class TestAggregatedTrain:
-    def test_zero_weight_matches_visual_only_trajectory(self, tiny):
+    def test_zero_weight_matches_visual_only_trajectory(self, tiny, monkeypatch):
         vocab, tr, va = tiny
         shared_init = tiny_model(vocab, seed=5)
         m_agg = shared_init.copy()
         m_vis = shared_init.copy()
+        stepped_keys = []
+        adam_step = Adam.step
+        monkeypatch.setattr(Adam, "step", lambda adam, params, grads: (
+            stepped_keys.append(sorted(params)), adam_step(adam, params, grads)))
+        monkeypatch.setattr(nn, "backward_joint_batch", None)  # calling it would fail
         r_agg = aggregated_train(tr, va, m_agg, tiny_config(), text_weight=0.0)
+        monkeypatch.undo()
+        assert stepped_keys and all(keys == ["b_hid", "b_vis", "w_hid", "w_vis"]
+                                    for keys in stepped_keys)
         r_vis = visreg_train(tr, va, m_vis, tiny_config())
         for key in ("w_hid", "b_hid", "w_vis", "b_vis"):
             assert np.array_equal(m_agg.params()[key], m_vis.params()[key]), key

@@ -68,7 +68,6 @@ class TestQuery:
         idx = build_index([10, 20], np.array([[1.0, 0], [0, 1]]))
         result = query(idx, np.array([1.0, 0.0]), k=2, exclude_id=10)
         assert result.ids() == [20]
-        assert result.query_id == 10
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(0)
@@ -127,10 +126,24 @@ class TestQuery:
         with pytest.raises(ValueError, match="dim"):
             query(idx, np.ones(3), k=1)
 
-    def test_zero_query_rejected(self):
+    @pytest.mark.parametrize("first_row", [[1.0, 0.0], [1e-160, 0.0]])
+    def test_zero_query_ties_every_candidate(self, first_row):
+        # a row normalized from a norm of 1e-160 leaves the index not safe_norms
+        idx = build_index([30, 10, 40, 20], np.array([first_row, [0, 1], [1, 1], [2, 0]]))
+        assert idx.safe_norms == (first_row[0] == 1.0)
+        for q in (np.zeros(2), np.array([-0.0, 0.0])):
+            got = query(idx, q, k=10)
+            assert got.ids() == [10, 20, 30, 40] and got.distances() == [1.0] * 4
+            got = query(idx, q, k=2, exclude_id=10)
+            assert got.ids() == [20, 30] and got.distances() == [1.0, 1.0]
+            with pytest.raises(ValueError, match="k must be"):
+                query(idx, q, k=0)
+
+    def test_nonfinite_query_rejected(self):
         idx = build_index([1], np.array([[1.0, 0]]))
-        with pytest.raises(ValueError, match="zero"):
-            query(idx, np.zeros(2), k=1)
+        for q in ([np.nan, 0.0], [0.0, np.inf]):
+            with pytest.raises(ValueError, match="non-finite"):
+                query(idx, np.array(q), k=1)
 
     def test_bad_k(self):
         idx = build_index([1], np.array([[1.0, 0]]))

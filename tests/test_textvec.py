@@ -26,6 +26,11 @@ class TestTokenize:
     def test_digits_survive(self):
         assert tokenize("2 dogs") == ["2", "dogs"]
 
+    def test_only_ascii_letters_and_digits_survive(self):
+        # lowercased non-ASCII letters and underscores split like punctuation
+        assert tokenize("Café Über naïve 3rd") == ["caf", "ber", "na", "ve", "3rd"]
+        assert tokenize("snake_case ÉCOLE") == ["snake", "case", "cole"]
+
     def test_tokens_carry_no_pos(self):
         assert all(type(t) is str for t in tokenize("a dog"))  # plain words, no tag
 
@@ -377,10 +382,6 @@ class TestTypes:
     def test_bow_rejects_unsorted(self):
         with pytest.raises(ValueError):
             BowVector(3, (2, 0))
-
-    def test_bow_to_dense(self):
-        dense = BowVector(4, (1, 3)).to_dense()
-        assert dense.tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 def test_caption_terms_ngram_mode_tags_automatically():
