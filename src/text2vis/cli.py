@@ -247,6 +247,8 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args)
     if cfg["p"] < 1:
         raise ValueError("p must be >= 1")
+    if not math.isfinite(cfg["beta"]):
+        raise ValueError("beta must be finite")
     if cfg["split"] != "all":
         _split_fractions(cfg)
 

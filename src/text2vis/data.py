@@ -4,7 +4,7 @@ synthetic latent-topic dataset generator for desk-scale experiments.
 File formats:
   captions  -- JSON array of {"id": <int>, "captions": [<str>, ...]}
   features  -- BinaryFormat "T2VF", header N u64 and D u64, then N image ids
-               as u64 and the N x D matrix as f32
+               as u64, each below 2^63, and the N x D matrix as f32
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 from .atomic import atomic_write
 from .textvec import default_lexicon
 
-_MAX_U64 = 2**64 - 1
+# Ids are stored as u64 but indexed as int64 (retrieval.build_index).
+_MAX_ID = 2**63 - 1
 
 
 class FormatError(ValueError):
@@ -155,8 +156,8 @@ def save_features(path, ids, matrix) -> None:
         raise ValueError(f"{len(ids)} ids for {matrix.shape[0]} feature rows")
     if len(set(ids)) != len(ids):
         raise ValueError("image ids must be unique")
-    if any(i < 0 or i > _MAX_U64 for i in ids):
-        raise ValueError("image ids must fit in an unsigned 64-bit integer")
+    if any(i < 0 or i > _MAX_ID for i in ids):
+        raise ValueError("image ids must be non-negative and fit in a signed 64-bit integer")
     FEATURE_FORMAT.write(path, matrix.shape, [("u8", ids), ("f4", matrix)])
 
 
@@ -164,6 +165,9 @@ def load_features(path) -> tuple[list[int], np.ndarray]:
     arrays = FEATURE_FORMAT.read(
         path, lambda n, d: {"ids": ("u8", (n,)), "matrix": ("f4", (n, d))})
     id_list = [int(i) for i in arrays["ids"]]
+    if max(id_list) > _MAX_ID:
+        raise FormatError(f"{path}: image id {max(id_list)} does not fit in a "
+                          "signed 64-bit integer")
     if len(set(id_list)) != len(id_list):
         raise FormatError(f"{path}: duplicate image ids")
     return id_list, arrays["matrix"].astype(np.float32, copy=False)
@@ -234,7 +238,9 @@ class SynthConfig:
             raise ValueError("topics_per_image range is inverted")
         if self.topics_per_image[1] > self.num_topics:
             raise ValueError("topics_per_image exceeds the number of topics")
-        if self.noise_sigma < 0:
+        if math.isinf(self.noise_sigma):
+            raise ValueError("noise_sigma must be finite")
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
 
 

@@ -14,7 +14,7 @@ w_vis, b_vis}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,6 +69,10 @@ class Model:
         """The arrays one head's loss touches: the shared layer and that head."""
         return {"w_hid": self.w_hid, "b_hid": self.b_hid,
                 f"w_{head}": getattr(self, f"w_{head}"), f"b_{head}": getattr(self, f"b_{head}")}
+
+    def visual_branch(self) -> "Model":
+        """This model without its text head; every array is shared, not copied."""
+        return replace(self, w_txt=None, b_txt=None)
 
     def copy(self) -> "Model":
         return Model(
@@ -250,16 +254,16 @@ def forward_batch(model: Model, inputs: np.ndarray):
 
 def visual_predictions(model: Model, bows) -> np.ndarray:
     """The visual prediction of each bag of words, as the rows of a [len(bows) x
-    visual] array, in one pass of the hidden layer and the visual head alone;
-    callers with many bags of words pass them BATCH_CHUNK at a time.  For a
-    single bag of words the row is bitwise forward(model, bow).visual_pred; for
-    more, the head is one matrix product, whose sums may round differently in
-    the last bits."""
+    visual] array: forward_batch on the model's visual branch, so no text head
+    runs; callers with many bags of words pass them BATCH_CHUNK at a time.  For
+    a single bag of words the row is bitwise forward(model, bow).visual_pred;
+    for more, the head is one matrix product, whose sums may round differently
+    in the last bits."""
     for bow in bows:
         _check_input_dim(model, bow)
-    _, hidden = hidden_batch(model, bow_matrix([b.on_indices for b in bows],
-                                               model.vocab_dim))
-    return np.ascontiguousarray(relu(_head(model, "vis", hidden)[1]).T)
+    visual_pred = forward_batch(model.visual_branch(),
+                                bow_matrix([b.on_indices for b in bows], model.vocab_dim))[2]
+    return np.ascontiguousarray(visual_pred.T)
 
 
 def _head_backward_batch(model: Model, head: str, pre1, hidden, inputs, targets):

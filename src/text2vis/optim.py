@@ -33,6 +33,9 @@ class Adam:
 
     def __init__(self, alpha: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, epsilon: float = 1e-8):
+        for name, value in (("alpha", alpha), ("epsilon", epsilon)):
+            if math.isinf(value):
+                raise ValueError(f"{name} must be finite")
         if not (alpha > 0 and epsilon > 0):
             raise ValueError("alpha and epsilon must be positive")
         if not (0 < beta1 < 1 and 0 < beta2 < 1):
@@ -116,10 +119,14 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_iterations < 1 or self.eval_every < 1:
             raise ValueError("max_iterations and eval_every must be >= 1")
+        if self.eval_every > self.max_iterations:
+            raise ValueError("eval_every must be <= max_iterations")
         if not 0.0 <= self.sl_prob_visual <= 1.0:
             raise ValueError("sl_prob_visual must lie in [0, 1]")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        if math.isinf(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
 
@@ -268,7 +275,7 @@ class _BatchSampler:
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def _split_losses(model: Model, ds: EncodedDataset, with_text: bool) -> tuple[float | None, float]:
+def _split_losses(model: Model, ds: EncodedDataset) -> tuple[float | None, float]:
     """Deterministic whole-split losses, using each image's first caption as
     both the input and the reconstruction target."""
     sq_t = 0.0
@@ -278,10 +285,10 @@ def _split_losses(model: Model, ds: EncodedDataset, with_text: bool) -> tuple[fl
         inputs = nn.bow_matrix(cols, ds.vocab_dim)
         _, text_recon, visual_pred = nn.forward_batch(model, inputs)
         sq_v += float(((visual_pred - ds.features[start:start + nn.BATCH_CHUNK].T) ** 2).sum())
-        if with_text:
+        if text_recon is not None:
             sq_t += float(((text_recon - inputs) ** 2).sum())
     loss_v = sq_v / (ds.size * ds.visual_dim)
-    loss_t = sq_t / (ds.size * ds.vocab_dim) if with_text else None
+    loss_t = sq_t / (ds.size * ds.vocab_dim) if model.has_text_branch else None
     return loss_t, loss_v
 
 
@@ -296,8 +303,7 @@ def pick_captions(n_captions: np.ndarray,
 
 
 def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
-                  config: TrainConfig, step, track_text: bool,
-                  progress=None) -> TrainResult:
+                  config: TrainConfig, step, progress=None) -> TrainResult:
     """The training loop shared by every strategy.
 
     Each iteration draws a batch and its caption picks, then calls
@@ -322,8 +328,8 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
         """Record the split losses, keep the model if it is the best so far,
         and say whether to stop early."""
         nonlocal best_snapshot
-        tr_t, tr_v = _split_losses(model, train, track_text)
-        va_t, va_v = _split_losses(model, val, track_text)
+        tr_t, tr_v = _split_losses(model, train)
+        va_t, va_v = _split_losses(model, val)
         history.points.append(HistoryPoint(iteration, tr_t, tr_v, va_t, va_v))
         stop, best_iteration = early_stop_check(history, config.patience)
         if best_iteration == iteration:
@@ -387,33 +393,31 @@ def sl_train(train: EncodedDataset, val: EncodedDataset, model: Model,
         loss, grads = nn.backward_text_batch(model, inputs, text_targets())
         return {"text": loss}, adam_text, txt_params, grads
 
-    return _run_training(train, val, model, config, step, track_text=True,
-                         progress=progress)
+    return _run_training(train, val, model, config, step, progress=progress)
 
 
 def aggregated_train(train: EncodedDataset, val: EncodedDataset, model: Model,
                      config: TrainConfig, text_weight: float = 1.0,
                      progress=None) -> TrainResult:
-    """Single Adam minimizing visual + text_weight * text loss; with text_weight
-    0 only the visual branch steps, so the text head and its moments stay put."""
+    """Single Adam minimizing visual + text_weight * text loss.  Weight 0 trains
+    the visual branch through visreg_train and keeps a copy of the text head."""
     if not model.has_text_branch:
         raise ValueError("aggregated training needs the text branch")
     if not math.isfinite(text_weight):
         raise ValueError(f"text_weight must be finite, got {text_weight}")
+    if text_weight == 0.0:
+        result = visreg_train(train, val, model.visual_branch(), config, progress)
+        result.model.w_txt, result.model.b_txt = model.w_txt.copy(), model.b_txt.copy()
+        return result
     adam = Adam(alpha=config.learning_rate)
-    with_text = text_weight != 0.0
-    params = model.params() if with_text else model.branch_params("vis")
+    params = model.params()
 
     def step(rng, inputs, visual_targets, text_targets):
-        if not with_text:
-            loss_v, grads = nn.backward_visual_batch(model, inputs, visual_targets)
-            return {"visual": loss_v}, adam, params, grads
         loss_t, loss_v, grads = nn.backward_joint_batch(
             model, inputs, text_targets(), visual_targets, text_weight)
         return {"visual": loss_v, "text": loss_t}, adam, params, grads
 
-    return _run_training(train, val, model, config, step,
-                         track_text=with_text, progress=progress)
+    return _run_training(train, val, model, config, step, progress=progress)
 
 
 def visreg_train(train: EncodedDataset, val: EncodedDataset, model: Model,
@@ -426,5 +430,4 @@ def visreg_train(train: EncodedDataset, val: EncodedDataset, model: Model,
         loss, grads = nn.backward_visual_batch(model, inputs, visual_targets)
         return {"visual": loss}, adam, params, grads
 
-    return _run_training(train, val, model, config, step,
-                         track_text=model.has_text_branch, progress=progress)
+    return _run_training(train, val, model, config, step, progress=progress)

@@ -284,6 +284,20 @@ class TestSearch:
                      "--features", str(root / "ds" / "features.t2vf")]) == 1
         assert capsys.readouterr().err == f"error: {bad}:2: empty term\n"
 
+    def test_image_id_beyond_int64_fails(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        vocab = textvec.Vocabulary.load(root / "vocab.txt")
+        features = tmp_path / "f.t2vf"
+        data.FEATURE_FORMAT.write(features, (2, 16), [("u8", [7, 2**63]),
+                                                      ("f4", np.ones((2, 16)))])
+        assert main(["search", "zzyzxq", "--checkpoint",
+                     str(fresh_checkpoint(tmp_path / "m.t2vm", len(vocab))),
+                     "--vocab", str(root / "vocab.txt"), "--features", str(features)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {features}: image id {2**63} does not fit in a "
+                                "signed 64-bit integer\n")
+
     def test_oov_query_on_fresh_model_ranks_by_id(self, workspace, tmp_path, capsys):
         root, _ = workspace
         vocab = textvec.Vocabulary.load(root / "vocab.txt")
@@ -322,6 +336,16 @@ class TestValueRanges:
         ("eval", ["--test-frac", "-0.2"], "val-frac and test-frac must be >= 0"),
         ("eval", ["--val-frac", "0.9", "--test-frac", "0.2"],
          "val-frac + test-frac leave no training data"),
+        ("gen-synth", ["--noise-sigma", "nan"], "noise_sigma must be >= 0"),
+        ("gen-synth", ["--noise-sigma", "inf"], "noise_sigma must be finite"),
+        ("gen-synth", ["--noise-sigma=-inf"], "noise_sigma must be finite"),
+        ("eval", ["--beta", "nan"], "beta must be finite"),
+        ("eval", ["--beta", "inf"], "beta must be finite"),
+        ("eval", ["--beta=-inf"], "beta must be finite"),
+        ("train", ["--learning-rate", "inf"], "learning_rate must be finite"),
+        ("train", ["--learning-rate=-inf"], "learning_rate must be finite"),
+        ("train", ["--max-iters", "300", "--eval-every", "500"],
+         "eval_every must be <= max_iterations"),
     ])
     def test_rejected_before_any_input_is_read(self, tmp_path, capsys, command, words,
                                                message):
@@ -338,6 +362,7 @@ class TestValueRanges:
         return {"eval": ["eval", "--captions", m("c.json"), "--features", m("f.t2vf"),
                          "--vocab", m("v.txt"), "--checkpoint", f"text2vis={m('m.t2vm')}",
                          "--methods", "text2vis,vissim", "--out", m("out")],
+                "gen-synth": ["gen-synth", "--out", m("out")],
                 "search": ["search", "dog", "--checkpoint", m("m.t2vm"), "--vocab", m("v.txt"),
                            "--features", m("f.t2vf")],
                 "train": ["train", "--captions", m("c.json"), "--features", m("f.t2vf"),

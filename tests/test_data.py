@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from text2vis import data, evaluation, textvec
+from text2vis import data, evaluation, retrieval, textvec
 from text2vis.data import (CaptionedImage, FormatError, SynthConfig,
                            generate_synthetic, join_captions_features,
                            load_captions, load_features, save_captions,
@@ -99,6 +99,25 @@ class TestFeaturesFile:
     def test_id_range_checked(self, tmp_path):
         with pytest.raises(ValueError, match="64-bit"):
             save_features(tmp_path / "f.t2vf", [-1], np.ones((1, 4)))
+        with pytest.raises(ValueError, match="signed 64-bit"):
+            save_features(tmp_path / "f.t2vf", [3, 2**63], np.ones((2, 4)))
+        assert not (tmp_path / "f.t2vf").exists()
+
+    def test_largest_id_round_trips_and_indexes(self, tmp_path):
+        path = tmp_path / "f.t2vf"
+        top = 2**63 - 1
+        save_features(path, [top, 0], np.eye(2, 4, dtype=np.float32))
+        ids, matrix = load_features(path)
+        assert ids == [top, 0]
+        index = retrieval.build_index(ids, matrix)
+        assert retrieval.query(index, np.array([1.0, 0, 0, 0]), 2).ids() == [top, 0]
+
+    def test_id_beyond_int64_rejected_at_load(self, tmp_path):
+        path = tmp_path / "f.t2vf"
+        data.FEATURE_FORMAT.write(path, (2, 4), [("u8", [2**63, 1]), ("f4", np.ones((2, 4)))])
+        with pytest.raises(FormatError, match="signed 64-bit") as exc:
+            load_features(path)
+        assert str(exc.value).startswith(f"{path}: image id {2**63} ")
 
 
 class TestJoin:
@@ -206,6 +225,11 @@ class TestGenerateSynthetic:
             generate_synthetic(SynthConfig(topics_per_image=(3, 1)))
         with pytest.raises(ValueError):
             generate_synthetic(SynthConfig(noise_sigma=-1))
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+            generate_synthetic(SynthConfig(noise_sigma=float("nan")))
+        for sigma in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="noise_sigma must be finite"):
+                generate_synthetic(SynthConfig(noise_sigma=sigma))
         with pytest.raises(ValueError):
             generate_synthetic(SynthConfig(vocab_size=10**6))
 

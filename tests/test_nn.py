@@ -196,6 +196,17 @@ class TestForward:
         m = toy_model(text_branch=False)
         assert forward(m, BowVector(4, (1,))).text_recon is None
 
+    def test_visual_branch_shares_arrays_and_drops_text_head(self):
+        m = toy_model()
+        branch = m.visual_branch()
+        assert not branch.has_text_branch and branch.b_txt is None
+        assert m.has_text_branch
+        for key in ("w_hid", "b_hid", "w_vis", "b_vis"):
+            assert getattr(branch, key) is getattr(m, key)
+        r, rb = forward(m, BowVector(4, (1, 2))), forward(branch, BowVector(4, (1, 2)))
+        assert rb.text_recon is None
+        assert rb.visual_pred.tobytes() == r.visual_pred.tobytes()
+
 
 class TestBowMatrix:
     @pytest.mark.parametrize("indices", [tuple, list,
@@ -466,6 +477,14 @@ class TestVisualPredictions:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
             nn.visual_predictions(toy_model(), [BowVector(4, (1,)), BowVector(5, (0,))])
+
+    def test_runs_no_text_head(self, monkeypatch):
+        heads = []
+        head = nn._head
+        monkeypatch.setattr(nn, "_head", lambda model, name, hidden: (
+            heads.append(name), head(model, name, hidden))[1])
+        nn.visual_predictions(toy_model(), [BowVector(4, (1,)), BowVector(4, ())])
+        assert heads == ["vis"]
 
 
 class TestCheckpointLoadsOneCopy:

@@ -68,6 +68,11 @@ class TestAdam:
             Adam(epsilon=math.nan)
         with pytest.raises(ValueError):
             Adam(beta1=1.0)
+        for value in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                Adam(alpha=value)
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                Adam(epsilon=value)
 
     def test_float32_params_stay_float32(self):
         adam = Adam()
@@ -212,6 +217,14 @@ class TestTrainConfig:
         for rate in (0.0, -0.001, float("nan")):
             with pytest.raises(ValueError, match="learning_rate must be > 0"):
                 TrainConfig(learning_rate=rate).validate()
+        for rate in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="learning_rate must be finite"):
+                TrainConfig(learning_rate=rate).validate()
+        with pytest.raises(ValueError, match="eval_every must be <= max_iterations"):
+            TrainConfig(max_iterations=300, eval_every=500).validate()
+        with pytest.raises(ValueError, match="max_iterations and eval_every must be >= 1"):
+            TrainConfig(max_iterations=0, eval_every=500).validate()
+        TrainConfig(max_iterations=500, eval_every=500).validate()
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +309,7 @@ class TestSlTrain:
         result = sl_train(tr, va, tiny_model(vocab), tiny_config(max_iterations=400))
         best = min(p.val_loss_v for p in result.history.points)
         assert result.best_val_loss_v == best
-        recomputed = optim._split_losses(result.model, va, with_text=True)[1]
+        recomputed = optim._split_losses(result.model, va)[1]
         assert recomputed == pytest.approx(best, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -355,6 +368,31 @@ class TestAggregatedTrain:
         # text head untouched under zero weight
         assert np.array_equal(m_agg.w_txt, shared_init.w_txt)
 
+    def test_zero_weight_runs_no_text_head(self, tiny, monkeypatch):
+        vocab, tr, va = tiny
+        heads = set()
+        head = nn._head
+        monkeypatch.setattr(nn, "_head", lambda model, name, hidden: (
+            heads.add(name), head(model, name, hidden))[1])
+        result = aggregated_train(tr, va, tiny_model(vocab), tiny_config(), text_weight=0.0)
+        assert len(result.history.points) == 5  # eval points included
+        assert heads == {"vis"}
+        assert all(p.train_loss_t is None and p.val_loss_t is None
+                   for p in result.history.points)
+
+    def test_zero_weight_checkpoint_keeps_initial_text_head(self, tiny):
+        vocab, tr, va = tiny
+        model = tiny_model(vocab, seed=2)
+        init = model.copy()
+        result = aggregated_train(tr, va, model, tiny_config(), text_weight=0.0)
+        assert result.model.has_text_branch
+        assert np.array_equal(result.model.w_txt, init.w_txt)
+        assert np.array_equal(result.model.b_txt, init.b_txt)
+        assert not np.shares_memory(result.model.w_txt, model.w_txt)
+        assert not np.shares_memory(result.model.b_txt, model.b_txt)
+        # the caller's visual arrays were trained in place
+        assert not np.array_equal(model.w_vis, init.w_vis)
+
     def test_needs_text_branch(self, tiny):
         vocab, tr, va = tiny
         with pytest.raises(ValueError, match="text branch"):
@@ -385,6 +423,17 @@ class TestVisregTrain:
         assert result.history.points[0].train_loss_t is None
         assert result.history.points[0].val_loss_t is None
         assert result.visual_steps == result.iterations_run
+
+
+class TestSplitLosses:
+    def test_text_loss_exactly_with_a_text_head(self, tiny):
+        vocab, _, va = tiny
+        model = tiny_model(vocab)
+        loss_t, loss_v = optim._split_losses(model, va)
+        assert loss_t is not None and loss_t > 0
+        assert optim._split_losses(model.visual_branch(), va) == (None, loss_v)
+        branchless = tiny_model(vocab, text_branch=False)
+        assert optim._split_losses(branchless, va)[0] is None
 
 
 class TestHistoryCsv:
