@@ -17,8 +17,7 @@ from .data import (CaptionedImage, DatasetSplit, FormatError, SynthConfig,
 from .evaluation import (EvalReport, Query, collection_queries, dcg, evaluate,
                          lcs_length, predict_and_rank, rank_functions, relevance,
                          rouge_l, rrank_ranking, vissim_ranking)
-from .nn import (ForwardResult, Model, backward_text, backward_visual, forward,
-                 init_model, load_checkpoint, mse, param_count, relu,
+from .nn import (ForwardResult, Model, forward, init_model, load_checkpoint, relu,
                  save_checkpoint)
 from .optim import (Adam, EncodedDataset, TrainConfig, TrainHistory, TrainResult,
                     TrainingDiverged, aggregated_train, early_stop_check,

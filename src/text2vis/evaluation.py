@@ -120,10 +120,9 @@ def predict_and_rank(model: nn.Model, bow: textvec.BowVector, index: VisualIndex
 
 @dataclass(frozen=True)
 class Query:
-    """One evaluation query: a caption and the image it describes."""
+    """One evaluation query: a tokenized caption and the image it describes."""
 
     image_id: int
-    text: str
     tokens: tuple[str, ...]
 
 
@@ -186,8 +185,7 @@ def collection_queries(
     captions_tokens = {
         img.image_id: [tuple(textvec.tokenize(c)) for c in img.captions]
         for img in collection}
-    queries = [Query(image_id=img.image_id, text=img.captions[0],
-                     tokens=captions_tokens[img.image_id][0])
+    queries = [Query(image_id=img.image_id, tokens=captions_tokens[img.image_id][0])
                for img in collection]
     return queries, captions_tokens
 
@@ -212,17 +210,17 @@ def rank_functions(names: Sequence[str], collection: Sequence[CaptionedImage],
     def excluded(q: Query) -> int | None:
         return None if include_self else q.image_id
 
-    bows: dict[str, textvec.BowVector] = {}  # each query text's, encoded once for every model
+    bows: dict[tuple, textvec.BowVector] = {}  # each query's tokens, encoded once for every model
 
     def model_rank(model: nn.Model) -> RankFn:
         def rank(queries: Sequence[Query]) -> list[RankedList]:
             for q in queries:
-                if q.text not in bows:
-                    bows[q.text] = vocab.encode_text(q.text)
+                if q.tokens not in bows:
+                    bows[q.tokens] = vocab.encode_terms(textvec.caption_terms(q.tokens, vocab.mode))
             rankings = []
             for start in range(0, len(queries), nn.BATCH_CHUNK):
                 chunk = queries[start:start + nn.BATCH_CHUNK]
-                preds = nn.visual_predictions(model, [bows[q.text] for q in chunk])
+                preds = nn.visual_predictions(model, [bows[q.tokens] for q in chunk])
                 rankings += [retrieval.query(index, pred, p, exclude_id=excluded(q))
                              for pred, q in zip(preds, chunk)]
             return rankings

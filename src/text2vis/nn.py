@@ -149,23 +149,6 @@ def init_model(vocab_dim: int, hidden_dim: int = 1024, visual_dim: int = 4096,
     )
 
 
-def param_count(model: Model) -> int:
-    """Exact number of scalars across all present weights and biases."""
-    return sum(int(p.size) for p in model.params().values())
-
-
-def mse(x: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared error (1/n) * sum((x_i - y_i)^2)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if x.size == 0:
-        raise ValueError("mse of empty vectors is undefined")
-    d = x - y
-    return float(np.mean(d * d))
-
-
 def _check_input_dim(model: Model, text_bow: BowVector) -> None:
     if text_bow.dim != model.vocab_dim:
         raise ValueError(
@@ -173,7 +156,8 @@ def _check_input_dim(model: Model, text_bow: BowVector) -> None:
 
 
 def forward(model: Model, text_bow: BowVector) -> ForwardResult:
-    """Run the net on one bag-of-words input: forward_batch on a batch of one."""
+    """Run the net on one bag-of-words input: forward_batch on a batch of one.  The benchmark's
+    oracle (perfbench/checks.py) and tracing.SPANS call it; it goes with ROADMAP.md item 1."""
     _check_input_dim(model, text_bow)
     hidden, text_recon, visual_pred = forward_batch(
         model, bow_matrix([text_bow.on_indices], model.vocab_dim))
@@ -182,35 +166,10 @@ def forward(model: Model, text_bow: BowVector) -> ForwardResult:
                          visual_pred=visual_pred[:, 0])
 
 
-def backward_text(model: Model, text_bow: BowVector,
-                  target_bow: BowVector) -> tuple[float, dict[str, np.ndarray]]:
-    """Text-reconstruction loss and its gradients over {w_hid, b_hid, w_txt, b_txt};
-    backward_text_batch on a batch of one."""
-    if not model.has_text_branch:
-        raise ValueError("model has no text branch")
-    if target_bow.dim != model.vocab_dim:
-        raise ValueError("target dim does not match vocabulary dim")
-    _check_input_dim(model, text_bow)
-    return backward_text_batch(model, bow_matrix([text_bow.on_indices], model.vocab_dim),
-                               bow_matrix([target_bow.on_indices], model.vocab_dim))
-
-
-def backward_visual(model: Model, text_bow: BowVector,
-                    visual_target: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Visual-regression loss and its gradients over {w_hid, b_hid, w_vis, b_vis};
-    backward_visual_batch on a batch of one."""
-    visual_target = np.asarray(visual_target, dtype=np.float64)
-    if visual_target.shape != (model.visual_dim,):
-        raise ValueError("target dim does not match visual dim")
-    _check_input_dim(model, text_bow)
-    return backward_visual_batch(model, bow_matrix([text_bow.on_indices], model.vocab_dim),
-                                 visual_target[:, None])
-
-
 # ---------------------------------------------------------------------------
-# Batched versions, used by the trainers and for ranking.  Inputs are dense
-# float64 matrices with one column per example; returned gradients are means
-# over the batch.
+# The batched network, used by the trainers and for ranking.  Inputs are
+# dense float64 matrices with one column per example (a single example is a
+# batch of one); returned gradients are means over the batch.
 # ---------------------------------------------------------------------------
 
 # Examples per forward pass over a whole split or query set: it bounds the

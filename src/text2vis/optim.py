@@ -5,7 +5,6 @@ visual-only loop for the plain regressor, and early stopping on validation loss.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -146,9 +145,6 @@ class TrainHistory:
 
     CSV_HEADER = ["iteration", "train_loss_t", "train_loss_v", "val_loss_t", "val_loss_v"]
 
-    def val_loss_v_series(self) -> list[float]:
-        return [p.val_loss_v for p in self.points]
-
     def to_csv(self, path) -> None:
         """`iteration,train_loss_t,train_loss_v,val_loss_t,val_loss_v`; absent as empty."""
         def cell(x):
@@ -157,22 +153,6 @@ class TrainHistory:
         write_csv(path, self.CSV_HEADER,
                   ([p.iteration, cell(p.train_loss_t), cell(p.train_loss_v),
                     cell(p.val_loss_t), cell(p.val_loss_v)] for p in self.points))
-
-    @classmethod
-    def from_csv(cls, path) -> "TrainHistory":
-        def parse(x):
-            return None if x == "" else float(x)
-
-        points = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != cls.CSV_HEADER:
-                raise ValueError(f"{path}: unexpected history header {header}")
-            for row in reader:
-                points.append(HistoryPoint(int(row[0]), parse(row[1]), float(row[2]),
-                                           parse(row[3]), float(row[4])))
-        return cls(points)
 
 
 @dataclass

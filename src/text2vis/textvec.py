@@ -44,6 +44,9 @@ DEFAULT_MIN_CAPTION_FREQ_UNIGRAM = 5
 DEFAULT_MIN_CAPTION_FREQ_NGRAM = 10
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+# The terms that tokenize and extract_ngrams can produce, alone and as the lines of a file.
+_TERM = re.compile(r"[a-z0-9]+(?:_[a-z0-9]+)*")
+_TERM_FILE = re.compile(rf"(?:{_TERM.pattern}\n)*(?:{_TERM.pattern})?")
 
 
 @dataclass(frozen=True)
@@ -161,11 +164,21 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        """Load a saved vocabulary; the mode is inferred from the terms."""
+        """Load a saved vocabulary of distinct terms a caption can produce; the mode is inferred."""
         with open(path, encoding="utf-8") as fh:
-            terms = [line.rstrip("\n") for line in fh]
-        if "" in terms:  # a skipped line would shift every later term's index
-            raise ValueError(f"{path}:{terms.index('') + 1}: empty term")
+            text = fh.read()
+        terms = text.removesuffix("\n").split("\n") if text else []
+        if not _TERM_FILE.fullmatch(text) or len(set(terms)) < len(terms):  # find the line
+            first_line: dict[str, int] = {}
+            for lineno, term in enumerate(terms, start=1):
+                if not term:  # a skipped line would shift every later term's index
+                    raise ValueError(f"{path}:{lineno}: empty term")
+                if not _TERM.fullmatch(term):
+                    raise ValueError(f"{path}:{lineno}: term {term!r} cannot come from a "
+                                     "tokenized caption")
+                if first_line.setdefault(term, lineno) != lineno:
+                    raise ValueError(f"{path}:{lineno}: term {term!r} repeats line "
+                                     f"{first_line[term]}; vocabulary terms must be unique")
         # The tokenizer strips underscores, so only joined n-grams contain them.
         mode = MODE_NGRAM if any(NGRAM_JOINER in t for t in terms) else MODE_UNIGRAM
         return cls(terms, mode)

@@ -85,12 +85,17 @@ def test_c01_gradients_match_finite_differences():
         model, bow, text_target, visual_target = _random_toy_setup(rng)
         if _min_abs_preactivation(model, bow) <= 1e-3:
             continue
-        _, grads_t = nn.backward_text(model, bow, text_target)
+        # each loss on a batch of one
+        inputs = nn.bow_matrix([bow.on_indices], bow.dim)
+        text_targets = nn.bow_matrix([text_target.on_indices], bow.dim)
+        visual_targets = visual_target[:, None]
+        _, grads_t = nn.backward_text_batch(model, inputs, text_targets)
         worst = max(worst, _fd_check(
-            lambda: nn.backward_text(model, bow, text_target)[0], model, grads_t))
-        _, grads_v = nn.backward_visual(model, bow, visual_target)
+            lambda: nn.backward_text_batch(model, inputs, text_targets)[0], model, grads_t))
+        _, grads_v = nn.backward_visual_batch(model, inputs, visual_targets)
         worst = max(worst, _fd_check(
-            lambda: nn.backward_visual(model, bow, visual_target)[0], model, grads_v))
+            lambda: nn.backward_visual_batch(model, inputs, visual_targets)[0], model,
+            grads_v))
         checked += 1
     elapsed = time.perf_counter() - started
     _verdict(1, "analytic gradients match central finite differences",
@@ -130,8 +135,8 @@ def _zeros_model(vocab, hidden, visual):
 
 
 def test_c03_parameter_counts():
-    unigram = nn.param_count(_zeros_model(10_358, 1024, 4096))
-    ngram = nn.param_count(_zeros_model(23_968, 1024, 4096))
+    unigram, ngram = (sum(p.size for p in _zeros_model(vocab, 1024, 4096).params().values())
+                      for vocab in (10_358, 23_968))
     # exact value of 10358*1024 + 1024 + 1024*10358 + 10358 + 1024*4096 + 4096
     ok = (unigram == 25_422_966
           and round(unigram / 1e6, 1) == 25.4
@@ -254,7 +259,7 @@ def test_c06_synthetic_ordering(training_runs, synth_splits, synth_vocab):
 # ---------------------------------------------------------------------------
 
 def _rise_above_min(history):
-    vals = history.val_loss_v_series()
+    vals = [p.val_loss_v for p in history.points]
     best_at = int(np.argmin(vals))
     if best_at == len(vals) - 1:
         return 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from text2vis import evaluation, nn
+from text2vis import evaluation, nn, textvec
 from text2vis.data import CaptionedImage
 from text2vis.evaluation import (EvalReport, Query, collection_queries, dcg, evaluate,
                                  lcs_length, predict_and_rank, rank_functions,
@@ -295,9 +295,8 @@ class TestRankFunctions:
 
     def test_queries_are_first_captions(self):
         queries, toks = collection_queries(self.collection)
-        assert [(q.image_id, q.text, q.tokens) for q in queries] == [
-            (1, "a red bus", ("a", "red", "bus")), (2, "a blue car", ("a", "blue", "car")),
-            (3, "green car", ("green", "car"))]
+        assert [(q.image_id, q.tokens) for q in queries] == [
+            (1, ("a", "red", "bus")), (2, ("a", "blue", "car")), (3, ("green", "car"))]
         assert toks[1] == [("a", "red", "bus"), ("a", "bus")]
 
     def test_methods_in_requested_order(self):
@@ -361,8 +360,8 @@ class TestBatchedModelRankings:
         for include_self in (False, True):
             got = self.rankings(include_self)
             assert len(got) == len(self.queries)
-            for q, ranking in zip(self.queries, got):
-                want = predict_and_rank(self.model, self.vocab.encode_text(q.text),
+            for q, img, ranking in zip(self.queries, self.collection, got):
+                want = predict_and_rank(self.model, self.vocab.encode_text(img.captions[0]),
                                         self.index, 6,
                                         None if include_self else q.image_id)
                 assert ranking.ids() == want.ids()
@@ -376,15 +375,52 @@ class TestBatchedModelRankings:
         assert zero.ids() == [0, 1, 2, 3, 4, 5] and zero.distances() == [1.0] * 6
 
     def test_each_query_encoded_once_for_every_model(self, monkeypatch):
-        texts = []
-        encode = Vocabulary.encode_text
-        monkeypatch.setattr(Vocabulary, "encode_text",
-                            lambda vocab, text: texts.append(text) or encode(vocab, text))
+        encoded = []
+        encode = Vocabulary.encode_terms
+        monkeypatch.setattr(Vocabulary, "encode_terms",
+                            lambda vocab, terms: encoded.append(tuple(terms)) or
+                            encode(vocab, terms))
         methods = rank_functions(["text2vis", "visreg"], self.collection, self.vocab,
                                  lambda name: self.model, p=6)
         got = {name: fn(self.queries) for name, fn in methods.items()}
-        assert sorted(texts) == sorted(q.text for q in self.queries)
+        assert sorted(encoded) == sorted(q.tokens for q in self.queries)
         assert [r.ids() for r in got["text2vis"]] == [r.ids() for r in got["visreg"]]
+
+    def test_ngram_queries_use_their_tokens(self, monkeypatch):
+        # eval tokenizes each query caption once, in collection_queries; the
+        # model methods encode from those tokens, POS-tagging each query once
+        # (its n-grams need the tags) for all models together
+        words = ["red", "blue", "bus", "car", "dog", "runs", "two", "small"]
+        rng = np.random.default_rng(5)
+        collection = [CaptionedImage(i, [" ".join(rng.choice(words, 4))], rng.uniform(0, 1, 12))
+                      for i in range(9)]
+        collection.append(CaptionedImage(9, [collection[0].captions[0].upper()],
+                                         rng.uniform(0, 1, 12)))  # same tokens as query 0
+        vocab = textvec.build_vocabulary(
+            (textvec.tokenize(img.captions[0]) for img in collection), textvec.MODE_NGRAM,
+            min_caption_freq_ngram=1)
+        assert any(textvec.NGRAM_JOINER in t for t in vocab.terms)
+        model = nn.init_model(len(vocab), 8, 12, seed=5)
+        index = build_index([img.image_id for img in collection],
+                            np.stack([img.feature for img in collection]))
+        want = [predict_and_rank(model, vocab.encode_text(img.captions[0]), index, 6,
+                                 img.image_id).ids() for img in collection]
+        queries, _ = collection_queries(collection)
+        methods = rank_functions(["text2vis", "visreg"], collection, vocab,
+                                 lambda name: model, p=6)
+
+        def refuse(*args):
+            raise AssertionError("query caption tokenized again")
+
+        tagged = []
+        pos_tag = textvec.pos_tag
+        monkeypatch.setattr(textvec, "tokenize", refuse)
+        monkeypatch.setattr(textvec, "pos_tag", lambda tokens: tagged.append(tuple(tokens))
+                            or pos_tag(tokens))
+        assert [r.ids() for r in methods["text2vis"](queries)] == want
+        assert sorted(tagged) == sorted({q.tokens for q in queries})
+        monkeypatch.setattr(textvec, "pos_tag", refuse)
+        assert [r.ids() for r in methods["visreg"](queries)] == want
 
     def test_rankings_count_must_match_queries(self):
         with pytest.raises(ValueError, match="gave 0 rankings for 1 queries"):
@@ -398,7 +434,7 @@ def constant_method(ranking):
 class TestEvaluate:
     def setup_method(self):
         self.captions = {1: [("a", "dog")], 2: [("a", "cat")], 3: [("blue", "bus")]}
-        self.queries = [Query(1, "a dog", ("a", "dog"))]
+        self.queries = [Query(1, ("a", "dog"))]
         idx = build_index([1, 2, 3], np.eye(3))
         self.ranking = query(idx, np.array([1.0, 0.0, 0.0]), k=3)
 
@@ -471,7 +507,7 @@ class TestRelevanceCallContract:
         words = [f"w{i}" for i in range(8)]
         captions = {i: [tuple(rng.choice(words, size=5)) for _ in range(2)]
                     for i in range(12)}
-        queries = [Query(i, "", captions[i][0]) for i in range(6)]
+        queries = [Query(i, captions[i][0]) for i in range(6)]
         ids = np.arange(12)
 
         def fixed(seed, k):
@@ -509,7 +545,7 @@ class TestRRankEstimatesCorpusPrior:
         words = [f"w{i}" for i in range(30)]
         captions = {i: [tuple(rng.choice(words, size=6))] for i in range(120)}
         ids = np.arange(120)
-        queries = [Query(int(i), "", captions[int(i)][0]) for i in ids]
+        queries = [Query(int(i), captions[int(i)][0]) for i in ids]
 
         def rrank(qs):
             return [rrank_ranking(ids[ids != q.image_id], rng, k=25) for q in qs]

@@ -8,8 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from text2vis import nn
 from text2vis.data import FormatError
-from text2vis.nn import (Model, backward_text, backward_visual, forward,
-                         init_model, load_checkpoint, mse, param_count, relu,
+from text2vis.nn import (Model, forward, init_model, load_checkpoint, relu,
                          save_checkpoint)
 from text2vis.textvec import BowVector
 
@@ -250,25 +249,6 @@ class TestHiddenBatch:
         self.assert_matches_dense(m, rng.normal(size=(40, 5)))
 
 
-class TestMse:
-    def test_identity(self):
-        assert mse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-
-    def test_unit(self):
-        assert mse(np.array([0.0, 0.0]), np.array([1.0, 1.0])) == 1.0
-
-    def test_hand_value(self):
-        assert mse(np.array([1.0, 2, 3]), np.array([2.0, 4, 6])) == pytest.approx(14 / 3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mse(np.ones(2), np.ones(3))
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            mse(np.array([]), np.array([]))
-
-
 def fd_gradient(loss_fn, model, key, h=1e-4):
     """Central finite differences of loss_fn over one parameter array."""
     base = model.params()[key]
@@ -295,50 +275,60 @@ def assert_grads_close(analytic, numeric, tol=1e-4):
             assert rel[mask].max() < tol, f"{key}: rel err {rel[mask].max():.2e}"
 
 
+def one(bow):
+    """The input matrix of a batch of one."""
+    return nn.bow_matrix([bow.on_indices], bow.dim)
+
+
 class TestBackward:
     def test_perfect_prediction_zero_gradients(self):
         # zero weights and ReLU-off units: prediction 0 matches target 0 exactly
         m = Model(w_hid=np.zeros((3, 4)), b_hid=np.zeros(3),
                   w_txt=np.zeros((4, 3)), b_txt=np.zeros(4),
                   w_vis=np.zeros((2, 3)), b_vis=np.zeros(2))
-        loss_t, grads_t = backward_text(m, BowVector(4, (0,)), BowVector(4, ()))
-        loss_v, grads_v = backward_visual(m, BowVector(4, (0,)), np.zeros(2))
+        loss_t, grads_t = nn.backward_text_batch(m, one(BowVector(4, (0,))),
+                                                 one(BowVector(4, ())))
+        loss_v, grads_v = nn.backward_visual_batch(m, one(BowVector(4, (0,))),
+                                                   np.zeros((2, 1)))
         assert loss_t == 0.0 and loss_v == 0.0
         assert all(not g.any() for g in grads_t.values())
         assert all(not g.any() for g in grads_v.values())
 
     def test_text_gradient_scope(self):
-        _, grads = backward_text(toy_model(), BowVector(4, (1,)), BowVector(4, (0, 2)))
+        _, grads = nn.backward_text_batch(toy_model(), one(BowVector(4, (1,))),
+                                          one(BowVector(4, (0, 2))))
         assert sorted(grads) == ["b_hid", "b_txt", "w_hid", "w_txt"]
 
     def test_visual_gradient_scope(self):
-        _, grads = backward_visual(toy_model(), BowVector(4, (1,)), np.ones(2))
+        _, grads = nn.backward_visual_batch(toy_model(), one(BowVector(4, (1,))),
+                                            np.ones((2, 1)))
         assert sorted(grads) == ["b_hid", "b_vis", "w_hid", "w_vis"]
 
     def test_text_loss_is_mse_of_forward(self):
         m = toy_model()
         bow, target = BowVector(4, (0, 3)), BowVector(4, (1,))
-        loss, _ = backward_text(m, bow, target)
-        assert loss == pytest.approx(mse(forward(m, bow).text_recon,
-                                         nn.bow_matrix([target.on_indices], 4)[:, 0]),
-                                     abs=1e-12)
+        loss, _ = nn.backward_text_batch(m, one(bow), one(target))
+        text_recon = nn.forward_batch(m, one(bow))[1]
+        assert loss == pytest.approx(np.mean((text_recon - one(target)) ** 2), abs=1e-12)
 
     def test_visual_finite_differences(self):
         rng = np.random.default_rng(7)
         m = toy_model(rng, vocab=5, hidden=4, visual=3)
-        bow = BowVector(5, (0, 2, 4))
-        target = rng.uniform(0, 1, 3)
-        _, analytic = backward_visual(m, bow, target)
-        numeric = {k: fd_gradient(lambda mm: backward_visual(mm, bow, target)[0], m, k)
+        inputs = one(BowVector(5, (0, 2, 4)))
+        target = rng.uniform(0, 1, (3, 1))
+        _, analytic = nn.backward_visual_batch(m, inputs, target)
+        numeric = {k: fd_gradient(lambda mm: nn.backward_visual_batch(mm, inputs, target)[0],
+                                  m, k)
                    for k in analytic}
         assert_grads_close(analytic, numeric)
 
     def test_text_finite_differences(self):
         rng = np.random.default_rng(8)
         m = toy_model(rng, vocab=5, hidden=4, visual=3)
-        bow, target = BowVector(5, (1, 3)), BowVector(5, (0, 2))
-        _, analytic = backward_text(m, bow, target)
-        numeric = {k: fd_gradient(lambda mm: backward_text(mm, bow, target)[0], m, k)
+        inputs, target = one(BowVector(5, (1, 3))), one(BowVector(5, (0, 2)))
+        _, analytic = nn.backward_text_batch(m, inputs, target)
+        numeric = {k: fd_gradient(lambda mm: nn.backward_text_batch(mm, inputs, target)[0],
+                                  m, k)
                    for k in analytic}
         assert_grads_close(analytic, numeric)
 
@@ -346,18 +336,13 @@ class TestBackward:
         rng = np.random.default_rng(9)
         for step in (1e-3, 1e-4):
             m = toy_model(rng)
-            bow, target = BowVector(4, (0, 1)), rng.uniform(0, 1, 2)
-            before, grads = backward_visual(m, bow, target)
+            inputs, target = one(BowVector(4, (0, 1))), rng.uniform(0, 1, (2, 1))
+            before, grads = nn.backward_visual_batch(m, inputs, target)
             for key, g in grads.items():
                 p = m.params()[key]
                 p[...] = p - step * g
-            after, _ = backward_visual(m, bow, target)
+            after, _ = nn.backward_visual_batch(m, inputs, target)
             assert after < before
-
-    def test_requires_text_branch(self):
-        with pytest.raises(ValueError, match="text branch"):
-            backward_text(toy_model(text_branch=False), BowVector(4, (0,)),
-                          BowVector(4, (0,)))
 
     def test_batch_matches_mean_of_singles(self):
         rng = np.random.default_rng(10)
@@ -366,7 +351,8 @@ class TestBackward:
         targets = rng.uniform(0, 1, (3, 3))
         inputs = nn.bow_matrix([b.on_indices for b in bows], 6)
         loss_b, grads_b = nn.backward_visual_batch(m, inputs, targets.T)
-        singles = [backward_visual(m, b, t) for b, t in zip(bows, targets)]
+        singles = [nn.backward_visual_batch(m, one(b), t[:, None])
+                   for b, t in zip(bows, targets)]
         assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), abs=1e-12)
         for key in grads_b:
             mean_grad = np.mean([s[1][key] for s in singles], axis=0)
@@ -377,15 +363,15 @@ class TestParamCount:
     def test_headline_dimensions(self):
         m = init_model(10_358, 1024, 4096, seed=0)
         # 2*(1024*10358) + 1024 + 10358 + 1024*4096 + 4096
-        assert param_count(m) == 25_422_966
+        assert sum(p.size for p in m.params().values()) == 25_422_966
 
     def test_ngram_dimensions(self):
         m = init_model(23_968, 1024, 4096, seed=0)
-        assert abs(param_count(m) - 53_300_000) < 100_000
+        assert abs(sum(p.size for p in m.params().values()) - 53_300_000) < 100_000
 
     def test_no_text_branch_hand_count(self):
         m = init_model(3, 2, 2, has_text_branch=False, seed=0)
-        assert param_count(m) == 3 * 2 + 2 + 2 * 2 + 2
+        assert sum(p.size for p in m.params().values()) == 3 * 2 + 2 + 2 * 2 + 2
 
 
 class TestCheckpoint:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -442,7 +443,13 @@ class TestHistoryCsv:
         result = sl_train(tr, va, tiny_model(vocab), tiny_config(max_iterations=100))
         path = tmp_path / "history.csv"
         result.history.to_csv(path)
-        assert TrainHistory.from_csv(path) == result.history
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == TrainHistory.CSV_HEADER
+        assert rows[1:] == [[repr(p.iteration)] + ["" if x is None else repr(x) for x in
+                                                    (p.train_loss_t, p.train_loss_v,
+                                                     p.val_loss_t, p.val_loss_v)]
+                            for p in result.history.points]
 
     def test_absent_values_empty(self, tmp_path):
         h = TrainHistory([HistoryPoint(0, None, 0.5, None, 0.25)])
@@ -467,7 +474,7 @@ class TestOverfittingControl:
         # least as good as the plain regressor's, or the regressor's curve
         # rises >= 5% off its minimum while the two-branch model's rises less
         def rise(result):
-            vals = result.history.val_loss_v_series()
+            vals = [p.val_loss_v for p in result.history.points]
             at = int(np.argmin(vals))
             return 0.0 if at == len(vals) - 1 else (max(vals[at:]) - vals[at]) / vals[at]
 

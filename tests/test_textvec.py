@@ -373,6 +373,53 @@ class TestVocabularyObject:
         with pytest.raises(ValueError, match=r"vocab\.txt:2: empty term"):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("text, line, term", [
+        ("\ufeffdog\ncat\n", 1, "\ufeffdog"),  # a UTF-8 byte order mark
+        ("cat\ndog \n", 2, "dog "),
+        ("cat\nDog\n", 2, "Dog"),
+        ("cat\nred__bus\n", 2, "red__bus"),
+        ("cat\n_dog\n", 2, "_dog"),
+        ("cat\ndog\tNOUN\n", 2, "dog\tNOUN"),
+    ])
+    def test_term_a_caption_cannot_produce_rejected(self, tmp_path, text, line, term):
+        # such a term can never be active: its dimension would be dead
+        path = tmp_path / "vocab.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            Vocabulary.load(path)
+        assert str(err.value) == (f"{path}:{line}: term {term!r} cannot come from a "
+                                  "tokenized caption")
+
+    def test_duplicate_term_names_its_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("cat\ndog\nred_bus\ndog\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"vocab\.txt:4: term 'dog' repeats line 2; "
+                                             r"vocabulary terms must be unique"):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize("final_newline", ["", "\n"])
+    def test_crlf_loads_as_lf(self, tmp_path, final_newline):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(("cat\ndog\nred_bus" + final_newline).encode())
+        crlf.write_bytes(("cat\r\ndog\r\nred_bus" + final_newline.replace("\n", "\r\n"))
+                         .encode())
+        assert Vocabulary.load(crlf).terms == Vocabulary.load(lf).terms == [
+            "cat", "dog", "red_bus"]
+        assert Vocabulary.load(crlf).mode == textvec.MODE_NGRAM
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["red ", "bus ", "dog ", "runs ", "two ", "3 ",
+                                              "a", "Z", "_", "-", "\u00e9", "\t", "."]))
+                    .map("".join), min_size=1, max_size=4))
+    def test_every_term_a_caption_produces_loads(self, tmp_path_factory, captions):
+        corpus = [tokenize(c) for c in captions]
+        if not any(corpus):
+            return
+        vocab = build_vocabulary(corpus, textvec.MODE_NGRAM, min_caption_freq_ngram=1)
+        path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+        vocab.save(path)
+        assert Vocabulary.load(path).terms == vocab.terms
+
 
 class TestTypes:
     def test_bow_rejects_out_of_range(self):
