@@ -380,7 +380,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_float_values(argv: list[str]) -> list[str]:
+    """`--flag -inf` as `--flag=-inf` for every float flag.  argparse reads a
+    word that starts with `-` as an option unless it looks like `-3` or `-0.1`,
+    so `-inf`, `-nan` and `-1e5` would otherwise not reach the flag."""
+    floats = {f.flag for _, flags in COMMANDS.values() for f in flags if f.kind is float}
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in floats and word.startswith("-") and not word.startswith("--"):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _join_float_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed its diagnostic

@@ -44,9 +44,12 @@ DEFAULT_MIN_CAPTION_FREQ_UNIGRAM = 5
 DEFAULT_MIN_CAPTION_FREQ_NGRAM = 10
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
-# The terms that tokenize and extract_ngrams can produce, alone and as the lines of a file.
-_TERM = re.compile(r"[a-z0-9]+(?:_[a-z0-9]+)*")
-_TERM_FILE = re.compile(rf"(?:{_TERM.pattern}\n)*(?:{_TERM.pattern})?")
+# The terms that tokenize and extract_ngrams can produce, and those of each mode.
+# Each term is matched on its own: one match of all the terms joined would grow
+# the regex engine's backtracking stack to about 3 MB at 10k terms.
+_UNIGRAM = re.compile(r"[a-z0-9]+")
+_TERM = re.compile(rf"{_UNIGRAM.pattern}(?:_{_UNIGRAM.pattern})*")
+_MODE_TERM = {MODE_UNIGRAM: _UNIGRAM, MODE_NGRAM: _TERM}
 
 
 @dataclass(frozen=True)
@@ -130,17 +133,43 @@ def caption_terms(tokens: Sequence[str], mode: str) -> list[str]:
     return terms
 
 
+def _term_problem(terms: list[str], mode: str) -> tuple[int, str] | None:
+    """(index, reason) of the first term that a caption tokenized under mode
+    cannot produce, or that repeats an earlier term; None if there is none.
+    A term's index is its line in a saved vocabulary, counted from 0."""
+    if all(map(_MODE_TERM[mode].fullmatch, terms)) and len(set(terms)) == len(terms):
+        return None
+    first: dict[str, int] = {}
+    for i, term in enumerate(terms):
+        if not term:  # a skipped line would shift every later term's index
+            return i, "empty term"
+        if not _TERM.fullmatch(term):
+            return i, f"term {term!r} cannot come from a tokenized caption"
+        if mode == MODE_UNIGRAM and NGRAM_JOINER in term:
+            return i, f"term {term!r} is an n-gram, which a unigram vocabulary cannot hold"
+        if first.setdefault(term, i) != i:
+            return i, (f"term {term!r} repeats line {first[term] + 1}; "
+                       "vocabulary terms must be unique")
+    return None
+
+
 class Vocabulary:
-    """Immutable term -> index map over unigrams and (optionally) pattern n-grams."""
+    """Immutable term -> index map over unigrams and (optionally) pattern n-grams.
+
+    Every term must be one that a caption tokenized under the mode can
+    produce, and no term may repeat; so each vocabulary that can be built
+    saves to a file that loads back to the same terms and encodings.
+    """
 
     def __init__(self, terms: Sequence[str], mode: str):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.terms = list(terms)
-        if len(set(self.terms)) != len(self.terms):
-            raise ValueError("vocabulary terms must be unique")
         if not self.terms:
             raise ValueError("vocabulary is empty")
+        problem = _term_problem(self.terms, mode)
+        if problem is not None:
+            raise ValueError(problem[1])
         self.index = {term: i for i, term in enumerate(self.terms)}
         self.mode = mode
 
@@ -168,20 +197,15 @@ class Vocabulary:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         terms = text.removesuffix("\n").split("\n") if text else []
-        if not _TERM_FILE.fullmatch(text) or len(set(terms)) < len(terms):  # find the line
-            first_line: dict[str, int] = {}
-            for lineno, term in enumerate(terms, start=1):
-                if not term:  # a skipped line would shift every later term's index
-                    raise ValueError(f"{path}:{lineno}: empty term")
-                if not _TERM.fullmatch(term):
-                    raise ValueError(f"{path}:{lineno}: term {term!r} cannot come from a "
-                                     "tokenized caption")
-                if first_line.setdefault(term, lineno) != lineno:
-                    raise ValueError(f"{path}:{lineno}: term {term!r} repeats line "
-                                     f"{first_line[term]}; vocabulary terms must be unique")
         # The tokenizer strips underscores, so only joined n-grams contain them.
         mode = MODE_NGRAM if any(NGRAM_JOINER in t for t in terms) else MODE_UNIGRAM
-        return cls(terms, mode)
+        try:
+            return cls(terms, mode)
+        except ValueError:
+            problem = _term_problem(terms, mode)
+            if problem is None:
+                raise
+            raise ValueError(f"{path}:{problem[0] + 1}: {problem[1]}") from None
 
 
 def build_vocabulary(corpus: Iterable[Sequence[str]], mode: str,

@@ -221,7 +221,7 @@ def test_c05_retrieval_matches_brute_force():
         got = retrieval.query(index, q, k=10)
         qn = q / np.linalg.norm(q)
         brute = sorted((float(np.linalg.norm(row - qn)), int(i))
-                       for i, row in zip(index.ids, index.vectors))
+                       for i, row in zip(index.ids, index.unit_rows()))
         exact &= got.ids() == [i for _, i in brute[:10]]
         exact &= all(abs(e.distance - d) < 1e-12
                      for e, (d, _) in zip(got.entries, brute[:10]))

@@ -339,11 +339,17 @@ class TestValueRanges:
         ("gen-synth", ["--noise-sigma", "nan"], "noise_sigma must be >= 0"),
         ("gen-synth", ["--noise-sigma", "inf"], "noise_sigma must be finite"),
         ("gen-synth", ["--noise-sigma=-inf"], "noise_sigma must be finite"),
+        ("gen-synth", ["--noise-sigma", "-inf"], "noise_sigma must be finite"),
         ("eval", ["--beta", "nan"], "beta must be finite"),
         ("eval", ["--beta", "inf"], "beta must be finite"),
         ("eval", ["--beta=-inf"], "beta must be finite"),
+        ("eval", ["--beta", "-inf"], "beta must be finite"),
         ("train", ["--learning-rate", "inf"], "learning_rate must be finite"),
         ("train", ["--learning-rate=-inf"], "learning_rate must be finite"),
+        ("train", ["--learning-rate", "-inf"], "learning_rate must be finite"),
+        ("train", ["--lambda=-inf"], "lambda must be finite"),
+        ("train", ["--lambda", "-inf"], "lambda must be finite"),
+        ("train", ["--lambda", "-1e400"], "lambda must be finite"),
         ("train", ["--max-iters", "300", "--eval-every", "500"],
          "eval_every must be <= max_iterations"),
     ])

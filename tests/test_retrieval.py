@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from text2vis import retrieval
-from text2vis.retrieval import build_index, l2_normalize, query
+from text2vis.retrieval import VisualIndex, build_index, l2_normalize, query
 
 
 class TestL2Normalize:
@@ -32,7 +33,7 @@ class TestBuildIndex:
     def test_rows_unit_norm(self):
         idx = build_index([1, 2, 3], np.array([[3.0, 4], [1, 0], [5, 12]]))
         assert idx.size == 3
-        np.testing.assert_allclose(np.linalg.norm(idx.vectors, axis=1), 1.0)
+        np.testing.assert_allclose(np.linalg.norm(idx.unit_rows(), axis=1), 1.0)
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -78,7 +79,7 @@ class TestQuery:
             qn = q / np.linalg.norm(q)
             oracle = sorted(
                 ((float(np.linalg.norm(row - qn)), int(i))
-                 for i, row in zip(idx.ids, idx.vectors)))
+                 for i, row in zip(idx.ids, idx.unit_rows())))
             assert got.ids() == [i for _, i in oracle[:10]]
 
     def test_full_query_is_permutation(self):
@@ -107,7 +108,7 @@ class TestQuery:
         q = rng.normal(size=8)
         by_distance = query(idx, q, k=idx.size).ids()
         qn = q / np.linalg.norm(q)
-        sims = idx.vectors @ qn
+        sims = idx.unit_rows() @ qn
         by_dot = [int(idx.ids[i]) for i in np.lexsort((idx.ids, -sims))]
         assert by_distance == by_dot
 
@@ -183,7 +184,7 @@ def bits(a):
 def assert_matches_reference(ids, vectors, queries, ks, excludes):
     index = build_index(ids, vectors)
     ref_ids, ref_vectors = reference_build_index(ids, vectors)
-    assert np.array_equal(bits(index.vectors), bits(ref_vectors))
+    assert np.array_equal(bits(index.unit_rows()), bits(ref_vectors))
     for q in queries:
         for k in ks:
             for exclude_id in excludes:
@@ -193,16 +194,18 @@ def assert_matches_reference(ids, vectors, queries, ks, excludes):
                 assert np.array_equal(bits(got.distances()), bits(want_d))
 
 
-def near_tie_rows(rng, n, dim, ulps=3):
-    """n rows that are one base row moved by a few ulps in a few components each,
-    plus exact duplicates of some of them: the similarity and distance orders
-    disagree among such rows."""
-    base = np.abs(rng.normal(size=dim))
+def near_tie_rows(rng, n, dim, ulps=3, dtype=np.float64):
+    """n rows of dtype that are one base row moved by a few ulps of dtype in a
+    few components each, plus exact duplicates of some of them: the similarity
+    and distance orders disagree among such rows, and float32 rows tie at the
+    resolution of a float32 scan."""
+    base = np.abs(rng.normal(size=dim)).astype(dtype)
     rows = np.tile(base, (n, 1))
+    up, down = dtype(np.inf), dtype(-np.inf)
     for row in rows:
         for j in rng.choice(dim, size=min(dim, 3), replace=False):
             for _ in range(int(rng.integers(1, ulps + 1))):
-                row[j] = np.nextafter(row[j], np.inf if rng.random() < 0.5 else -np.inf)
+                row[j] = np.nextafter(row[j], up if rng.random() < 0.5 else down)
     dups = rng.choice(n, size=n // 4, replace=False)
     rows[dups] = rows[rng.choice(n, size=len(dups))]
     return rows
@@ -216,17 +219,17 @@ def collections(draw):
     dim = draw(st.integers(1, 40))
     n = draw(st.integers(1, 60))
     kind = draw(st.sampled_from(["normal", "relu", "near_tie", "duplicates"]))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
     if kind == "near_tie":
-        rows = near_tie_rows(rng, n, dim)
+        rows = near_tie_rows(rng, n, dim, dtype=dtype)
     else:
         rows = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10)
         if kind == "relu":
             rows = np.maximum(rows, 0.0)
         if kind == "duplicates":
             rows[rng.integers(0, n, size=n)] = rows[rng.integers(0, n, size=n)]
+        rows = rows.astype(dtype)
     rows[~rows.any(axis=1), 0] = 1.0  # a zero row is rejected, not ranked
-    if draw(st.booleans()):
-        rows = rows.astype(np.float32)
     ids = rng.permutation(3 * n)[:n]
     queries = [rng.normal(size=dim), np.asarray(rows[int(rng.integers(n))], dtype=np.float64)]
     if kind == "near_tie":  # from well off the cluster, so many candidates nearly tie
@@ -246,10 +249,11 @@ class TestExactAgainstReference:
         with mock.patch.object(retrieval, "_BUILD_BLOCK", block):
             assert_matches_reference(ids, rows, queries, ks, excludes)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("seed", range(6))
-    def test_near_ties_at_the_kth_boundary(self, seed):
+    def test_near_ties_at_the_kth_boundary(self, seed, dtype):
         rng = np.random.default_rng(seed)
-        rows = near_tie_rows(rng, 300, 64)
+        rows = near_tie_rows(rng, 300, 64, dtype=dtype)
         ids = rng.permutation(300)
         queries = [rows[0] + rng.normal(size=64) for _ in range(6)]
         assert build_index(ids, rows).safe_norms
@@ -301,10 +305,68 @@ class TestExactAgainstReference:
         assert_matches_reference(range(50), rows, [rng.normal(size=16)], [1, 5], [None, 3])
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("scale", [1e-160, 1e-152, 1e152, 1e160])
-    def test_query_norm_outside_the_safe_range(self, scale):
+    def test_query_norm_outside_the_safe_range(self, scale, dtype):
         rng = np.random.default_rng(9)
-        rows = rng.normal(size=(50, 16))
+        rows = rng.normal(size=(50, 16)).astype(dtype)
         assert build_index(range(50), rows).safe_norms
         assert_matches_reference(range(50), rows, [rng.normal(size=16) * scale], [1, 5],
                                  [None, 3])
+
+    @pytest.mark.parametrize("scale", [1e-41, 1e-25, 1e25, 3.4e38])
+    def test_float32_norms_outside_the_scan_range_score_every_candidate(self, scale):
+        # a row of subnormals, norms beyond 2^-64 and 2^64, and one near the
+        # float32 maximum, where a float32 scan would overflow
+        rng = np.random.default_rng(11)
+        rows = rng.normal(size=(50, 16)).astype(np.float32)
+        rows[3] = (rng.uniform(-1, 1, size=16) * scale).astype(np.float32)
+        assert rows[3].any() and np.isfinite(rows[3]).all()
+        index = build_index(range(50), rows)
+        assert not index.safe_norms
+        assert_matches_reference(range(50), rows, [rng.normal(size=16), rows[3]], [1, 5],
+                                 [None, 3])
+
+    @pytest.mark.parametrize("scale", [1e-18, 1e18])
+    def test_float32_norms_inside_the_scan_range(self, scale):
+        rng = np.random.default_rng(12)
+        rows = (rng.normal(size=(50, 16)) * scale).astype(np.float32)
+        assert build_index(range(50), rows).safe_norms
+        assert_matches_reference(range(50), rows, [rng.normal(size=16)], [1, 5], [None, 3])
+
+    def test_query_components_subnormal_in_float32(self):
+        # such components underflow when the unit query is cast for the scan
+        rng = np.random.default_rng(14)
+        rows = np.abs(rng.normal(size=(200, 16))).astype(np.float32)
+        queries = []
+        for tiny in (1e-39, 1e-44, 1e-46):
+            q = np.abs(rng.normal(size=16))
+            q[rng.choice(16, size=8, replace=False)] = tiny
+            queries.append(q)
+        assert_matches_reference(range(200), rows, queries, [1, 10, 150], [None, 7])
+
+
+class TestInPlace:
+    def test_float32_rows_are_shared_read_only_and_not_copied(self):
+        rng = np.random.default_rng(15)
+        n, dim = 4096, 512
+        rows = rng.standard_normal((n, dim), dtype=np.float32)
+        float64_copy = n * dim * 8
+        query(build_index([1, 2], rows[:2]), rows[0], k=1)  # lazy imports, not counted
+        tracemalloc.start()
+        try:
+            index = build_index(np.arange(n), rows)
+            with mock.patch.object(VisualIndex, "unit_rows", autospec=True,
+                                   side_effect=VisualIndex.unit_rows) as unit_rows:
+                got = query(index, rng.standard_normal(dim), k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 10
+        assert np.shares_memory(index.rows, rows) and index.rows.dtype == np.float32
+        with pytest.raises(ValueError, match="read-only"):
+            index.rows[0, 0] = 1.0
+        assert peak < float64_copy / 4
+        # the scan's shortlist, not the collection, is normalized in float64
+        (_, sel), _ = unit_rows.call_args
+        assert 10 <= len(sel) < 100

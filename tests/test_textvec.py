@@ -4,7 +4,7 @@ import re
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from text2vis import textvec
 from text2vis.textvec import (BowVector, Vocabulary, build_vocabulary,
@@ -389,6 +389,10 @@ class TestVocabularyObject:
             Vocabulary.load(path)
         assert str(err.value) == (f"{path}:{line}: term {term!r} cannot come from a "
                                   "tokenized caption")
+        for mode in textvec.MODES:  # the same rule, without a file to name
+            with pytest.raises(ValueError) as err:
+                Vocabulary(text.removesuffix("\n").split("\n"), mode)
+            assert str(err.value) == f"term {term!r} cannot come from a tokenized caption"
 
     def test_duplicate_term_names_its_line(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -396,6 +400,26 @@ class TestVocabularyObject:
         with pytest.raises(ValueError, match=r"vocab\.txt:4: term 'dog' repeats line 2; "
                                              r"vocabulary terms must be unique"):
             Vocabulary.load(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.from_regex(r"[a-z0-9]{1,3}(_[a-z0-9]{1,3}){0,2}", fullmatch=True),
+                              st.text(max_size=4)), min_size=1, max_size=5),
+           st.sampled_from(textvec.MODES))
+    @example(["Dog", "cat"], textvec.MODE_UNIGRAM)
+    @example(["red_bus", "bus"], textvec.MODE_UNIGRAM)
+    @example(["dog", "cat"], textvec.MODE_NGRAM)
+    def test_every_accepted_vocabulary_round_trips(self, tmp_path_factory, terms, mode):
+        try:
+            vocab = Vocabulary(terms, mode)
+        except ValueError:
+            return
+        path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+        vocab.save(path)
+        loaded = Vocabulary.load(path)
+        assert loaded.terms == vocab.terms
+        captions = [" ".join(terms).replace("_", " "), "a dog", "Dog and red bus"]
+        assert [loaded.encode_text(c) for c in captions] == [vocab.encode_text(c)
+                                                             for c in captions]
 
     @pytest.mark.parametrize("final_newline", ["", "\n"])
     def test_crlf_loads_as_lf(self, tmp_path, final_newline):

@@ -1,7 +1,7 @@
 """Hash every output of a fixed desk-scale text2vis pipeline.
 
 Runs gen-synth, a unigram and an ngram build-vocab, five trainings, three
-evals and three searches with fixed flags in a temporary directory, then
+evals and four searches with fixed flags in a temporary directory, then
 prints `sha256  relative/path` for each file it wrote, sorted by path.  With
 --expect FILE it compares the listing against FILE (same format) and exits 1
 on any difference, so a change meant to keep every output byte-identical can
@@ -79,6 +79,10 @@ def run_pipeline(work: Path) -> None:
     searches = [_text2vis(["search", terms[0], *_SEARCH, "--k", "10"], work),
                 _text2vis(["search", terms[0], terms[4], *_SEARCH, "--k", "5"], work)]
     (work / "search.txt").write_text("".join(searches), encoding="utf-8")
+    # k at least the collection size, so every candidate takes the full formula.
+    (work / "search_all.txt").write_text(
+        _text2vis(["search", terms[0], terms[4], *_SEARCH, "--k", "2000"], work),
+        encoding="utf-8")
     # The first unigram and the first n-gram term of the ngram vocabulary.
     ngram_terms = (work / "vocab_ngram.txt").read_text(encoding="utf-8").split()
     first_unigram = next(t for t in ngram_terms if "_" not in t)
