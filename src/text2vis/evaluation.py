@@ -65,22 +65,14 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str],
 
 
 def relevance(query_tokens: Sequence[str], reference_captions: Sequence[Sequence[str]],
-              beta: float = DEFAULT_ROUGE_BETA, aggregate: str = "max") -> float:
-    """Relevance of a retrieved image to a query caption.
-
-    Scores the query against each of the image's captions with ROUGE-L and
-    aggregates with max (default) or mean.
-    """
+              beta: float = DEFAULT_ROUGE_BETA) -> float:
+    """Relevance of a retrieved image to a query caption: the best ROUGE-L
+    score of the query against any of the image's captions."""
     if not reference_captions:
         raise ValueError("relevance needs at least one reference caption")
     n, masks = len(query_tokens), _position_masks(query_tokens)  # LCS is symmetric
-    scores = [_rouge_from_lcs(_lcs_against(masks, n, ref), n, len(ref), beta)
-              for ref in reference_captions]
-    if aggregate == "max":
-        return max(scores)
-    if aggregate == "mean":
-        return sum(scores) / len(scores)
-    raise ValueError(f"unknown aggregate {aggregate!r}")
+    return max([_rouge_from_lcs(_lcs_against(masks, n, ref), n, len(ref), beta)
+                for ref in reference_captions])
 
 
 def dcg(rels: Sequence[float], p: int = DEFAULT_RANK_CUTOFF) -> float:
@@ -253,8 +245,7 @@ def rank_functions(names: Sequence[str], collection: Sequence[CaptionedImage],
 
 def evaluate(methods: dict[str, RankFn], queries: Sequence[Query],
              captions_tokens: dict[int, list[tuple[str, ...]]],
-             p: int = DEFAULT_RANK_CUTOFF, beta: float = DEFAULT_ROUGE_BETA,
-             aggregate: str = "max") -> EvalReport:
+             p: int = DEFAULT_RANK_CUTOFF, beta: float = DEFAULT_ROUGE_BETA) -> EvalReport:
     """Score every method on every query with DCG@p under ROUGE-L relevance.
 
     captions_tokens maps each retrievable image id to its tokenized captions.
@@ -287,7 +278,7 @@ def evaluate(methods: dict[str, RankFn], queries: Sequence[Query],
                         raise ValueError(
                             f"method {name!r} retrieved image {image_id}, "
                             f"which has no captions") from None
-                    rel = relevance(q.tokens, refs, beta, aggregate)
+                    rel = relevance(q.tokens, refs, beta)
                     rel_cache[image_id] = rel
                 rels.append(rel)
             dcg_by_method[name].append(dcg(rels, p))

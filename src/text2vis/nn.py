@@ -60,15 +60,7 @@ class Model:
 
     def params(self) -> dict[str, np.ndarray]:
         """All present parameter arrays, keyed by field name."""
-        out = self.branch_params("vis")
-        if self.has_text_branch:
-            out.update(self.branch_params("txt"))
-        return out
-
-    def branch_params(self, head: str) -> dict[str, np.ndarray]:
-        """The arrays one head's loss touches: the shared layer and that head."""
-        return {"w_hid": self.w_hid, "b_hid": self.b_hid,
-                f"w_{head}": getattr(self, f"w_{head}"), f"b_{head}": getattr(self, f"b_{head}")}
+        return {name: arr for name, arr in vars(self).items() if arr is not None}
 
     def visual_branch(self) -> "Model":
         """This model without its text head; every array is shared, not copied."""

@@ -195,7 +195,9 @@ def early_stop_check(history: TrainHistory, patience: int) -> tuple[bool, int]:
 
 @dataclass
 class EncodedDataset:
-    """Captions pre-encoded to active-index arrays, features as float64 targets."""
+    """Captions pre-encoded to active-index arrays, and the features as the
+    visual targets in their own dtype (float32 from a feature file): every loss
+    subtracts them from float64 activations, which widens them exactly."""
 
     vocab_dim: int
     features: np.ndarray  # [N x visual_dim]
@@ -217,7 +219,7 @@ def encode_dataset(images: Sequence[CaptionedImage], vocab: Vocabulary) -> Encod
     dims = {img.feature.shape for img in images}
     if len(dims) != 1:
         raise ValueError(f"inconsistent feature shapes: {sorted(dims)}")
-    features = np.stack([img.feature for img in images]).astype(np.float64)
+    features = np.stack([img.feature for img in images])
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         bad = images[int(np.argmin(finite))].image_id
@@ -283,14 +285,14 @@ def pick_captions(n_captions: np.ndarray,
 
 
 def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
-                  config: TrainConfig, step, progress=None) -> TrainResult:
+                  config: TrainConfig, choose, text_weight: float = 1.0,
+                  progress=None) -> TrainResult:
     """The training loop shared by every strategy.
 
-    Each iteration draws a batch and its caption picks, then calls
-    ``step(rng, inputs, visual_targets, text_targets)``.  ``text_targets`` is a
-    thunk, so the text targets are built only on steps that use them.  The step
-    returns the losses of the branches it trained, keyed "visual"/"text", and
-    the Adam update to apply once they are all finite: (adam, params, grads).
+    Each iteration draws a batch and its caption picks, then ``choose(rng)``
+    names the loss to step: "visual", "text" or "joint" (visual + text_weight *
+    text).  Each loss has its own Adam, made on its first step over the arrays
+    its gradients name, and steps only once every loss it computed is finite.
     """
     config.validate()
     if train.size == 0 or val.size == 0:
@@ -319,6 +321,7 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
         return stop
 
     evaluate_point(0)
+    adams: dict[str, Adam] = {}
     steps = {"visual": 0, "text": 0}
     iterations_run = 0
     stopped_early = False
@@ -329,14 +332,26 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
         in_pick, out_pick = pick_captions(train.n_captions[batch], rng)
         inputs = nn.bow_matrix([train.caption_indices[i][p] for i, p in zip(batch, in_pick)],
                                train.vocab_dim)
-        losses, adam, params, grads = step(
-            rng, inputs, train.features[batch].T,
-            lambda: nn.bow_matrix([train.caption_indices[i][p] for i, p in zip(batch, out_pick)],
-                                  train.vocab_dim))
+        loss_name = choose(rng)
+        if loss_name != "visual":
+            text_targets = nn.bow_matrix(
+                [train.caption_indices[i][p] for i, p in zip(batch, out_pick)], train.vocab_dim)
+        if loss_name == "visual":
+            loss_v, grads = nn.backward_visual_batch(model, inputs, train.features[batch].T)
+            losses = {"visual": loss_v}
+        elif loss_name == "text":
+            loss_t, grads = nn.backward_text_batch(model, inputs, text_targets)
+            losses = {"text": loss_t}
+        else:
+            loss_t, loss_v, grads = nn.backward_joint_batch(
+                model, inputs, text_targets, train.features[batch].T, text_weight)
+            losses = {"visual": loss_v, "text": loss_t}
         for branch, loss in losses.items():
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"{branch} loss is {loss} at iteration {iteration}")
-        adam.step(params, grads)
+        if loss_name not in adams:
+            adams[loss_name] = Adam(alpha=config.learning_rate)
+        adams[loss_name].step({name: getattr(model, name) for name in grads}, grads)
         for branch in losses:
             steps[branch] += 1
 
@@ -362,18 +377,10 @@ def sl_train(train: EncodedDataset, val: EncodedDataset, model: Model,
     P(visual) = sl_prob_visual and update only that branch with its own Adam."""
     if not model.has_text_branch:
         raise ValueError("stochastic-loss training needs the text branch")
-    adam_visual = Adam(alpha=config.learning_rate)
-    adam_text = Adam(alpha=config.learning_rate)
-    vis_params, txt_params = model.branch_params("vis"), model.branch_params("txt")
-
-    def step(rng, inputs, visual_targets, text_targets):
-        if rng.random() < config.sl_prob_visual:
-            loss, grads = nn.backward_visual_batch(model, inputs, visual_targets)
-            return {"visual": loss}, adam_visual, vis_params, grads
-        loss, grads = nn.backward_text_batch(model, inputs, text_targets())
-        return {"text": loss}, adam_text, txt_params, grads
-
-    return _run_training(train, val, model, config, step, progress=progress)
+    return _run_training(
+        train, val, model, config,
+        lambda rng: "visual" if rng.random() < config.sl_prob_visual else "text",
+        progress=progress)
 
 
 def aggregated_train(train: EncodedDataset, val: EncodedDataset, model: Model,
@@ -389,25 +396,11 @@ def aggregated_train(train: EncodedDataset, val: EncodedDataset, model: Model,
         result = visreg_train(train, val, model.visual_branch(), config, progress)
         result.model.w_txt, result.model.b_txt = model.w_txt.copy(), model.b_txt.copy()
         return result
-    adam = Adam(alpha=config.learning_rate)
-    params = model.params()
-
-    def step(rng, inputs, visual_targets, text_targets):
-        loss_t, loss_v, grads = nn.backward_joint_batch(
-            model, inputs, text_targets(), visual_targets, text_weight)
-        return {"visual": loss_v, "text": loss_t}, adam, params, grads
-
-    return _run_training(train, val, model, config, step, progress=progress)
+    return _run_training(train, val, model, config, lambda rng: "joint", text_weight,
+                         progress)
 
 
 def visreg_train(train: EncodedDataset, val: EncodedDataset, model: Model,
                  config: TrainConfig, progress=None) -> TrainResult:
     """Visual branch only; any text head is left untouched."""
-    adam = Adam(alpha=config.learning_rate)
-    params = model.branch_params("vis")
-
-    def step(rng, inputs, visual_targets, text_targets):
-        loss, grads = nn.backward_visual_batch(model, inputs, visual_targets)
-        return {"visual": loss}, adam, params, grads
-
-    return _run_training(train, val, model, config, step, progress=progress)
+    return _run_training(train, val, model, config, lambda rng: "visual", progress=progress)

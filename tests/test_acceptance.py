@@ -283,15 +283,38 @@ def test_c07_text_branch_controls_overfitting(training_runs):
 # 8. stochastic loss selection vs the aggregated loss
 # ---------------------------------------------------------------------------
 
-def test_c08_sl_vs_aggregated(training_runs, tmp_path):
-    sl_ms, agg_ms = [], []
+C08_PAIRS = 5
+C08_BURST_ITERS = 200
+
+
+def _burst_cpu_ms_per_iter(trainer, train_set, val_set, hidden_dim: int, seed: int) -> float:
+    """CPU ms per iteration of one short run from a fresh model; like the
+    shared runs, it includes one eval point per 200 iterations."""
+    model = nn.init_model(train_set.vocab_dim, hidden_dim, train_set.visual_dim, seed=seed)
+    config = optim.TrainConfig(batch_size=100, max_iterations=C08_BURST_ITERS,
+                               eval_every=C08_BURST_ITERS, patience=10**9, seed=seed)
+    result = trainer(train_set, val_set, model, config)
+    return result.cpu_seconds / result.iterations_run * 1000
+
+
+def test_c08_sl_vs_aggregated(training_runs, encoded_splits, tmp_path):
+    # The cost is timed here, in bursts that alternate between the two
+    # strategies and alternate which one runs first, so a CPU-bound neighbour
+    # that comes or goes during the test slows both strategies alike.
+    train_set, val_set = encoded_splits
+    hidden_dim = training_runs[("sl", 0)].model.hidden_dim
+    trainers = {"sl": optim.sl_train, "aggregated": optim.aggregated_train}
+    ms = {name: [] for name in trainers}
+    for pair in range(C08_PAIRS):
+        for name in (("sl", "aggregated") if pair % 2 == 0 else ("aggregated", "sl")):
+            ms[name].append(_burst_cpu_ms_per_iter(trainers[name], train_set, val_set,
+                                                   hidden_dim, seed=pair))
+    sl_ms, agg_ms = np.median(ms["sl"]), np.median(ms["aggregated"])
     v_ok = t_ok = 0
     details = []
     for seed in (0, 1, 2):
         sl = training_runs[("sl", seed)]
         agg = training_runs[("aggregated", seed)]
-        sl_ms.append(sl.cpu_seconds / sl.iterations_run * 1000)
-        agg_ms.append(agg.cpu_seconds / agg.iterations_run * 1000)
         sl.history.to_csv(tmp_path / f"sl_seed{seed}.csv")
         agg.history.to_csv(tmp_path / f"aggregated_seed{seed}.csv")
         v_ok += sl.best_val_loss_v <= 1.05 * agg.best_val_loss_v
@@ -301,11 +324,11 @@ def test_c08_sl_vs_aggregated(training_runs, tmp_path):
         details.append(f"seed{seed}: val_v {sl.best_val_loss_v:.4f}/"
                        f"{agg.best_val_loss_v:.4f}")
     curves_written = len(list(tmp_path.glob("*.csv"))) == 6
-    ok = (np.mean(sl_ms) < np.mean(agg_ms) and v_ok >= 2 and t_ok >= 2
-          and curves_written)
+    ok = sl_ms < agg_ms and v_ok >= 2 and t_ok >= 2 and curves_written
     _verdict(8, "SL is cheaper per iteration and optimizes both losses as well",
-             ok, f"{np.mean(sl_ms):.2f} vs {np.mean(agg_ms):.2f} CPU ms/iter; "
-                 f"val_v ok {v_ok}/3, val_t ok {t_ok}/3; " + "; ".join(details))
+             ok, f"median {sl_ms:.2f} vs {agg_ms:.2f} CPU ms/iter over {C08_PAIRS} "
+                 f"alternating bursts; val_v ok {v_ok}/3, val_t ok {t_ok}/3; "
+                 + "; ".join(details))
 
 
 # ---------------------------------------------------------------------------

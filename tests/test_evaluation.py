@@ -78,12 +78,6 @@ class TestRelevance:
         q = ("a", "b", "c")
         assert relevance(q, refs) == max(rouge_l(q, refs[0]), rouge_l(q, refs[1]))
 
-    def test_mean_aggregate(self):
-        refs = [("a", "b"), ("c",)]
-        q = ("a", "b")
-        assert relevance(q, refs, aggregate="mean") == pytest.approx(
-            (rouge_l(q, refs[0]) + rouge_l(q, refs[1])) / 2)
-
     def test_empty_references_rejected(self):
         with pytest.raises(ValueError):
             relevance(("a",), [])
@@ -105,7 +99,7 @@ def dp_lcs_length(a, b):
     return prev[len(b)]
 
 
-def dp_relevance(query_tokens, reference_captions, beta, aggregate):
+def dp_relevance(query_tokens, reference_captions, beta):
     """Reference relevance: ROUGE-L on dp_lcs_length, in the float expression
     and evaluation order the scores have always had."""
     scores = []
@@ -117,7 +111,7 @@ def dp_relevance(query_tokens, reference_captions, beta, aggregate):
         recall = lcs / len(ref)
         precision = lcs / len(query_tokens)
         scores.append(((1 + beta**2) * recall * precision) / (recall + beta**2 * precision))
-    return max(scores) if aggregate == "max" else sum(scores) / len(scores)
+    return max(scores)
 
 
 def token_lists(alphabet_size, max_size):
@@ -153,17 +147,16 @@ class TestBitParallelLcsIsExact:
     def test_empty_sides(self, a):
         assert lcs_length(a, []) == lcs_length([], a) == 0
 
-    @pytest.mark.parametrize("aggregate", ["max", "mean"])
     @pytest.mark.parametrize("beta", [1.0, 1.2, 3.0])
     @given(query=token_lists(6, 14),
            refs=st.lists(token_lists(6, 14), min_size=1, max_size=5))
-    def test_relevance_bitwise(self, aggregate, beta, query, refs):
-        got = relevance(tuple(query), [tuple(r) for r in refs], beta, aggregate)
-        assert repr(got) == repr(dp_relevance(query, refs, beta, aggregate))
+    def test_relevance_bitwise(self, beta, query, refs):
+        got = relevance(tuple(query), [tuple(r) for r in refs], beta)
+        assert repr(got) == repr(dp_relevance(query, refs, beta))
 
     @given(token_lists(6, 14), token_lists(6, 14))
     def test_rouge_l_bitwise(self, a, b):
-        assert repr(rouge_l(a, b)) == repr(dp_relevance(a, [b], 1.2, "max"))
+        assert repr(rouge_l(a, b)) == repr(dp_relevance(a, [b], 1.2))
 
 
 class TestDcg:

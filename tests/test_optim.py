@@ -1,5 +1,6 @@
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -424,6 +425,57 @@ class TestVisregTrain:
         assert result.history.points[0].train_loss_t is None
         assert result.history.points[0].val_loss_t is None
         assert result.visual_steps == result.iterations_run
+
+
+VISUAL_ARRAYS = ("b_hid", "b_vis", "w_hid", "w_vis")
+TEXT_ARRAYS = ("b_hid", "b_txt", "w_hid", "w_txt")
+ALL_ARRAYS = ("b_hid", "b_txt", "b_vis", "w_hid", "w_txt", "w_vis")
+
+
+def spy_adam_steps(monkeypatch) -> Counter:
+    """Count Adam.step calls per (Adam instance, sorted parameter names)."""
+    steps = Counter()
+    adam_step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda adam, params, grads: (
+        steps.update([(adam, tuple(sorted(params)))]), adam_step(adam, params, grads)))
+    return steps
+
+
+def stepped(steps: Counter) -> list[tuple[tuple[str, ...], int]]:
+    """(arrays, step count) per Adam instance; each instance steps one set of arrays."""
+    assert len({adam for adam, _ in steps}) == len(steps)
+    assert all(adam.step_count == n for (adam, _), n in steps.items())
+    return sorted((arrays, n) for (_, arrays), n in steps.items())
+
+
+class TestIndependentOptimizers:
+    """Each loss steps its own Adam over the arrays that loss touches."""
+
+    def test_sl_steps_two_adams(self, tiny, monkeypatch):
+        vocab, tr, va = tiny
+        steps = spy_adam_steps(monkeypatch)
+        result = sl_train(tr, va, tiny_model(vocab), tiny_config())
+        assert 0 < result.visual_steps < result.iterations_run
+        assert stepped(steps) == sorted([(VISUAL_ARRAYS, result.visual_steps),
+                                         (TEXT_ARRAYS, result.text_steps)])
+
+    def test_aggregated_steps_one_adam_over_all_arrays(self, tiny, monkeypatch):
+        vocab, tr, va = tiny
+        steps = spy_adam_steps(monkeypatch)
+        result = aggregated_train(tr, va, tiny_model(vocab), tiny_config(), text_weight=0.5)
+        assert result.visual_steps == result.text_steps == result.iterations_run
+        assert stepped(steps) == [(ALL_ARRAYS, result.iterations_run)]
+
+    @pytest.mark.parametrize("strategy", ["visreg", "aggregated_zero_weight"])
+    def test_visual_only_steps_one_visual_adam(self, tiny, monkeypatch, strategy):
+        vocab, tr, va = tiny
+        steps = spy_adam_steps(monkeypatch)
+        if strategy == "visreg":
+            result = visreg_train(tr, va, tiny_model(vocab, text_branch=False), tiny_config())
+        else:
+            result = aggregated_train(tr, va, tiny_model(vocab), tiny_config(), text_weight=0.0)
+        assert result.text_steps == 0
+        assert stepped(steps) == [(VISUAL_ARRAYS, result.iterations_run)]
 
 
 class TestSplitLosses:
