@@ -1,10 +1,10 @@
 """Command-line pipeline: gen-synth, build-vocab, train, eval, search.
 
 Each command's flags are declared once, as a table of `Flag`s in COMMANDS;
-the argparse parser, config-file resolution and the echoed config all come
-from it.  Every flag can also come from a JSON config file (--config) under
-its key; explicit flags win, and a file value is checked against the flag's
-type and choices.  Commands that create a run directory echo the fully
+the argparse parser, config-file resolution, range checks and the echoed
+config all come from it.  Every flag can also come from a JSON config file
+(--config) under its key; explicit flags win.  Every value is checked before
+any input is read, and commands that create a run directory echo the fully
 resolved config into <out>/config.json so runs are reproducible.
 """
 
@@ -36,6 +36,7 @@ class Flag:
     help: str | None = None
     name: str | None = None  # the flag, when it is not the key with dashes
     repeat: bool = False  # each use appends one string to a list
+    low: int | None = None  # the least legal value
 
     @property
     def kind(self) -> type:
@@ -72,9 +73,17 @@ class Flag:
             raise ValueError(f"{source}: config key {self.key!r} must be {want}, got {value!r}")
         return float(value) if self.kind is float else value
 
+    def check_range(self, value) -> None:
+        """Reject a float that is not finite, or a value below low."""
+        label = self.name or self.key
+        if self.kind is float and not math.isfinite(value):
+            raise ValueError(f"{label} must be finite")
+        if self.low is not None and value < self.low:
+            raise ValueError(f"{label} must be >= {self.low}")
+
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge CLI values over config-file values over defaults."""
+    """Merge CLI values over config-file values over defaults; check each one."""
     flags = COMMANDS[args.command][1]
     file_cfg = {}
     if args.config:
@@ -96,13 +105,18 @@ def _resolve(args: argparse.Namespace) -> dict:
             resolved[flag.key] = flag.default
         if resolved[flag.key] is None and not flag.repeat:
             raise ValueError(f"missing required option {flag.flag}")
+        flag.check_range(resolved[flag.key])
     return resolved
 
 
-def _echo_config(out_dir: Path, command: str, cfg: dict) -> None:
+def _echo_config(command: str, cfg: dict) -> Path:
+    """Make the --out directory, echo the config into it and return it."""
+    out_dir = Path(cfg["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump({"command": command, **cfg}, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    return out_dir
 
 
 def _load_dataset(cfg: dict) -> list[data.CaptionedImage]:
@@ -149,8 +163,7 @@ def cmd_gen_synth(args) -> int:
         noise_sigma=cfg["noise_sigma"], seed=cfg["seed"])
     images, truth = data.generate_synthetic(synth)
 
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _echo_config("gen-synth", cfg)
     data.save_captions(out_dir / "captions.json",
                        [(img.image_id, img.captions) for img in images])
     data.save_features(out_dir / "features.t2vf",
@@ -159,7 +172,6 @@ def cmd_gen_synth(args) -> int:
     with atomic_write(out_dir / "ground_truth.json", "w", encoding="utf-8") as fh:
         json.dump(truth.to_json(), fh)
         fh.write("\n")
-    _echo_config(out_dir, "gen-synth", cfg)
     print(f"wrote {len(images)} images x {synth.captions_per_image} captions, "
           f"{synth.visual_dim}-d features to {out_dir}")
     return 0
@@ -194,12 +206,6 @@ def cmd_train(args) -> int:
         sl_prob_visual=cfg["sl_prob_visual"], seed=cfg["seed"],
         learning_rate=cfg["learning_rate"])
     train_cfg.validate()
-    if cfg["hidden"] < 1:
-        raise ValueError("hidden must be >= 1")
-    if cfg["seed"] < 0:
-        raise ValueError("seed must be >= 0")
-    if not math.isfinite(cfg["lambda_text"]):
-        raise ValueError("lambda must be finite")
     _split_fractions(cfg)
     trainers = {"sl": optim.sl_train, "visreg": optim.visreg_train,
                 "aggregated": partial(optim.aggregated_train, text_weight=cfg["lambda_text"])}
@@ -217,9 +223,7 @@ def cmd_train(args) -> int:
                           has_text_branch=cfg["strategy"] != "visreg",
                           seed=cfg["seed"])
 
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(out_dir, "train", cfg)
+    out_dir = _echo_config("train", cfg)
 
     def progress(point: optim.HistoryPoint) -> None:
         t = "" if point.train_loss_t is None else f" train_t={point.train_loss_t:.5f}"
@@ -243,47 +247,49 @@ def cmd_train(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def cmd_eval(args) -> int:
-    cfg = _resolve(args)
-    if cfg["p"] < 1:
-        raise ValueError("p must be >= 1")
-    if not math.isfinite(cfg["beta"]):
-        raise ValueError("beta must be finite")
-    if cfg["split"] != "all":
-        _split_fractions(cfg)
-
+def _eval_methods(cfg: dict) -> tuple[list[str], dict[str, str]]:
+    """The --methods names and each --checkpoint NAME's path, checked against
+    evaluation.METHODS before any input is read."""
     checkpoints: dict[str, str] = {}
     for item in cfg["checkpoint"] or []:
         name, sep, path = item.partition("=")
         if not sep:
             raise ValueError(f"--checkpoint wants NAME=PATH, got {item!r}")
+        if name in checkpoints:
+            raise ValueError(f"--checkpoint gives method {name!r} two checkpoints")
         checkpoints[name] = path
+    names = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
+    for name in names:
+        if name not in evaluation.METHODS:
+            raise ValueError(f"unknown method {name!r}")
+        if name in evaluation.MODEL_METHODS and name not in checkpoints:
+            raise ValueError(f"method {name!r} requires --checkpoint {name}=PATH")
+    if not names:
+        raise ValueError("no methods selected")
+    return names, checkpoints
+
+
+def cmd_eval(args) -> int:
+    cfg = _resolve(args)
+    if cfg["split"] != "all":
+        _split_fractions(cfg)
+    names, checkpoints = _eval_methods(cfg)
 
     vocab = textvec.Vocabulary.load(cfg["vocab"])
     images = _load_dataset(cfg)
-    if cfg["split"] == "all":
-        collection = images
-    else:
-        collection = getattr(_split_for(cfg, images), cfg["split"])
+    collection = images if cfg["split"] == "all" else getattr(_split_for(cfg, images), cfg["split"])
     if not collection:
         raise ValueError(f"split {cfg['split']!r} is empty")
 
-    def load_model(name: str) -> nn.Model:
-        if name not in checkpoints:
-            raise ValueError(f"method {name!r} requires --checkpoint {name}=PATH")
-        return _load_model(checkpoints[name], vocab)
-
     p = cfg["p"]
     methods = evaluation.rank_functions(
-        [m.strip() for m in cfg["methods"].split(",") if m.strip()], collection, vocab,
-        load_model, p=p, include_self=cfg["include_self"], seed=cfg["seed"])
+        names, collection, vocab, lambda name: _load_model(checkpoints[name], vocab),
+        p=p, include_self=cfg["include_self"], seed=cfg["seed"])
     queries, captions_tokens = evaluation.collection_queries(collection)
     report = evaluation.evaluate(methods, queries, captions_tokens,
                                  p=p, beta=cfg["beta"])
 
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(out_dir, "eval", cfg)
+    out_dir = _echo_config("eval", cfg)
     report.write_summary_csv(out_dir / "summary.csv")
     report.write_per_query_csv(out_dir / "per_query.csv")
     report.write_diff_cdf_csvs(out_dir)
@@ -305,9 +311,6 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = _resolve(args)
-    if cfg["k"] < 1:
-        raise ValueError("k must be >= 1")
-
     vocab = textvec.Vocabulary.load(cfg["vocab"])
     model = _load_model(cfg["checkpoint"], vocab)
     ids, matrix = data.load_features(cfg["features"])
@@ -328,12 +331,12 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 _DATASET = (Flag("captions"), Flag("features"), Flag("vocab"))
-_SPLIT = (Flag("val_frac", 0.1), Flag("test_frac", 0.1), Flag("split_seed", 0))
+_SPLIT = (Flag("val_frac", 0.1), Flag("test_frac", 0.1), Flag("split_seed", 0, low=0))
 
 # Each command's help and flags; its function is cmd_<name>, dashes as underscores.
 COMMANDS = {
     "gen-synth": ("generate a synthetic captioned dataset", (
-        Flag("out"), Flag("seed", 0), Flag("topics", 10), Flag("vocab_size", 200),
+        Flag("out"), Flag("seed", 0, low=0), Flag("topics", 10), Flag("vocab_size", 200),
         Flag("visual_dim", 64), Flag("images", 2000), Flag("captions_per_image", 5),
         Flag("caption_len_min", 6), Flag("caption_len_max", 12), Flag("topics_min", 1),
         Flag("topics_max", 3), Flag("noise_sigma", 0.15))),
@@ -346,18 +349,19 @@ COMMANDS = {
         Flag("lambda_text", 1.0, name="lambda",
              help="text-loss weight for the aggregated strategy"),
         Flag("sl_prob_visual", 0.5), Flag("batch_size", 100), Flag("max_iters", 300_000),
-        Flag("eval_every", 500), Flag("patience", 10), Flag("hidden", 1024),
-        Flag("seed", 0), Flag("learning_rate", 0.001), *_SPLIT, Flag("out"))),
+        Flag("eval_every", 500), Flag("patience", 10), Flag("hidden", 1024, low=1),
+        Flag("seed", 0, low=0), Flag("learning_rate", 0.001), *_SPLIT, Flag("out"))),
     "eval": ("compare retrieval methods", (
         *_DATASET,
-        Flag("methods", "vissim,rrank", help="comma list from: text2vis, visreg, vissim, rrank"),
+        Flag("methods", "vissim,rrank", help="comma list from: " + ", ".join(evaluation.METHODS)),
         Flag("checkpoint", repeat=True, help="NAME=PATH, for the text2vis/visreg methods"),
-        Flag("p", evaluation.DEFAULT_RANK_CUTOFF), Flag("beta", evaluation.DEFAULT_ROUGE_BETA),
-        Flag("seed", 0), *_SPLIT, Flag("split", "test", ("train", "validation", "test", "all")),
+        Flag("p", evaluation.DEFAULT_RANK_CUTOFF, low=1),
+        Flag("beta", evaluation.DEFAULT_ROUGE_BETA), Flag("seed", 0, low=0), *_SPLIT,
+        Flag("split", "test", ("train", "validation", "test", "all")),
         Flag("include_self", False, help="keep the query's own image among the candidates"),
         Flag("out"))),
     "search": ("retrieve images for a text query", (
-        Flag("checkpoint"), Flag("vocab"), Flag("features"), Flag("k", 10))),
+        Flag("checkpoint"), Flag("vocab"), Flag("features"), Flag("k", 10, low=1))),
 }
 
 

@@ -18,6 +18,8 @@ from .retrieval import RankedList, RankEntry, VisualIndex
 
 DEFAULT_RANK_CUTOFF = 25
 DEFAULT_ROUGE_BETA = 1.2
+MODEL_METHODS = ("text2vis", "visreg")  # rank by a trained model's prediction
+METHODS = (*MODEL_METHODS, "vissim", "rrank")
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -232,12 +234,9 @@ def rank_functions(names: Sequence[str], collection: Sequence[CaptionedImage],
     baselines = {"vissim": vissim, "rrank": rrank}
     methods: dict[str, RankFn] = {}
     for name in names:
-        if name in ("text2vis", "visreg"):
-            methods[name] = model_rank(load_model(name))
-        elif name in baselines:
-            methods[name] = baselines[name]
-        else:
+        if name not in METHODS:
             raise ValueError(f"unknown method {name!r}")
+        methods[name] = model_rank(load_model(name)) if name in MODEL_METHODS else baselines[name]
     if not methods:
         raise ValueError("no methods selected")
     return methods

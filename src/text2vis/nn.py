@@ -67,12 +67,7 @@ class Model:
         return replace(self, w_txt=None, b_txt=None)
 
     def copy(self) -> "Model":
-        return Model(
-            w_hid=self.w_hid.copy(), b_hid=self.b_hid.copy(),
-            w_txt=None if self.w_txt is None else self.w_txt.copy(),
-            b_txt=None if self.b_txt is None else self.b_txt.copy(),
-            w_vis=self.w_vis.copy(), b_vis=self.b_vis.copy(),
-        )
+        return replace(self, **{name: a.copy() for name, a in self.params().items()})
 
 
 @dataclass

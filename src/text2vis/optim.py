@@ -356,7 +356,8 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
             steps[branch] += 1
 
         iterations_run = iteration
-        if iteration % config.eval_every == 0 and evaluate_point(iteration):
+        at_point = iteration % config.eval_every == 0 or iteration == config.max_iterations
+        if at_point and evaluate_point(iteration):
             stopped_early = True
             break
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -319,7 +320,7 @@ class TestValueRanges:
         ("eval", ["--p", "0"], "p must be >= 1"),
         ("eval", ["--p", "-1"], "p must be >= 1"),
         ("train", ["--learning-rate", "0"], "learning_rate must be > 0"),
-        ("train", ["--learning-rate", "nan"], "learning_rate must be > 0"),
+        ("train", ["--learning-rate", "nan"], "learning_rate must be finite"),
         ("train", ["--batch-size", "0"], "batch_size must be >= 1"),
         ("train", ["--max-iters", "0"], "max_iterations and eval_every must be >= 1"),
         ("train", ["--eval-every", "0"], "max_iterations and eval_every must be >= 1"),
@@ -330,13 +331,13 @@ class TestValueRanges:
         ("train", ["--lambda", "nan", "--strategy", "aggregated"], "lambda must be finite"),
         ("train", ["--lambda", "inf"], "lambda must be finite"),
         ("train", ["--val-frac", "-0.1"], "val-frac and test-frac must be >= 0"),
-        ("train", ["--test-frac", "nan"], "val-frac and test-frac must be >= 0"),
+        ("train", ["--test-frac", "nan"], "test_frac must be finite"),
         ("train", ["--val-frac", "0.5", "--test-frac", "0.5"],
          "val-frac + test-frac leave no training data"),
         ("eval", ["--test-frac", "-0.2"], "val-frac and test-frac must be >= 0"),
         ("eval", ["--val-frac", "0.9", "--test-frac", "0.2"],
          "val-frac + test-frac leave no training data"),
-        ("gen-synth", ["--noise-sigma", "nan"], "noise_sigma must be >= 0"),
+        ("gen-synth", ["--noise-sigma", "nan"], "noise_sigma must be finite"),
         ("gen-synth", ["--noise-sigma", "inf"], "noise_sigma must be finite"),
         ("gen-synth", ["--noise-sigma=-inf"], "noise_sigma must be finite"),
         ("gen-synth", ["--noise-sigma", "-inf"], "noise_sigma must be finite"),
@@ -352,6 +353,15 @@ class TestValueRanges:
         ("train", ["--lambda", "-1e400"], "lambda must be finite"),
         ("train", ["--max-iters", "300", "--eval-every", "500"],
          "eval_every must be <= max_iterations"),
+        ("gen-synth", ["--seed", "-1"], "seed must be >= 0"),
+        ("eval", ["--seed", "-1"], "seed must be >= 0"),
+        ("train", ["--split-seed", "-1"], "split_seed must be >= 0"),
+        ("eval", ["--split-seed", "-1"], "split_seed must be >= 0"),
+        ("eval", ["--methods", "foo"], "unknown method 'foo'"),
+        ("eval", ["--methods", " , "], "no methods selected"),
+        ("eval", ["--methods", "visreg"], "method 'visreg' requires --checkpoint visreg=PATH"),
+        ("eval", ["--checkpoint", "text2vis=other.t2vm"],
+         "--checkpoint gives method 'text2vis' two checkpoints"),
     ])
     def test_rejected_before_any_input_is_read(self, tmp_path, capsys, command, words,
                                                message):
@@ -365,7 +375,8 @@ class TestValueRanges:
     def argv(command, missing):
         """A command line whose every input and output lies under ``missing``."""
         m = lambda name: str(missing / name)
-        return {"eval": ["eval", "--captions", m("c.json"), "--features", m("f.t2vf"),
+        return {"build-vocab": ["build-vocab", "--captions", m("c.json"), "--out", m("v.txt")],
+                "eval": ["eval", "--captions", m("c.json"), "--features", m("f.t2vf"),
                          "--vocab", m("v.txt"), "--checkpoint", f"text2vis={m('m.t2vm')}",
                          "--methods", "text2vis,vissim", "--out", m("out")],
                 "gen-synth": ["gen-synth", "--out", m("out")],
@@ -373,6 +384,32 @@ class TestValueRanges:
                            "--features", m("f.t2vf")],
                 "train": ["train", "--captions", m("c.json"), "--features", m("f.t2vf"),
                           "--vocab", m("v.txt"), "--out", m("out")]}[command]
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value) for command, (_, flags) in cli.COMMANDS.items()
+        for flag in flags
+        for value in ([flag.low - 1] if flag.low is not None else [])
+        + ([math.nan, math.inf, -math.inf] if flag.kind is float else [])],
+        ids=lambda v: getattr(v, "key", str(v)))
+    def test_every_declared_range_from_flag_and_file(self, tmp_path, capsys, command, flag,
+                                                     value):
+        label = flag.name or flag.key
+        message = (f"{label} must be finite" if flag.kind is float and not math.isfinite(value)
+                   else f"{label} must be >= {flag.low}")
+        missing = tmp_path / "missing"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({flag.key: value}))
+        for words in ([flag.flag, str(value)], ["--config", str(cfg_path)]):
+            assert main(self.argv(command, missing) + words) == 1, words
+            assert capsys.readouterr().err == f"error: {message}\n", words
+            assert not missing.exists()
+
+    def test_declared_ranges(self):
+        lows = {(command, flag.key): flag.low for command, (_, flags) in cli.COMMANDS.items()
+                for flag in flags if flag.low is not None}
+        assert lows == {("gen-synth", "seed"): 0, ("train", "hidden"): 1, ("train", "seed"): 0,
+                        ("train", "split_seed"): 0, ("eval", "p"): 1, ("eval", "seed"): 0,
+                        ("eval", "split_seed"): 0, ("search", "k"): 1}
 
     def test_eval_split_all_ignores_the_fractions(self, tmp_path, capsys):
         missing = tmp_path / "missing"

@@ -206,6 +206,16 @@ class TestForward:
         assert rb.text_recon is None
         assert rb.visual_pred.tobytes() == r.visual_pred.tobytes()
 
+    @pytest.mark.parametrize("text_branch", [True, False])
+    def test_copy_owns_equal_arrays(self, text_branch):
+        m = toy_model(text_branch=text_branch)
+        c = m.copy()
+        assert c.params().keys() == m.params().keys()
+        assert c.has_text_branch == text_branch
+        for key, arr in m.params().items():
+            assert c.params()[key].tobytes() == arr.tobytes()
+            assert not np.shares_memory(c.params()[key], arr)
+
 
 class TestBowMatrix:
     @pytest.mark.parametrize("indices", [tuple, list,

@@ -348,6 +348,19 @@ class TestEarlyStopInTraining:
         assert stop and best == result.best_iteration
 
 
+class TestFinalEvalPoint:
+    @pytest.mark.parametrize("budget, points", [(250, [0, 100, 200, 250]),
+                                                (200, [0, 100, 200])])
+    def test_budget_end_is_an_eval_point(self, tiny, budget, points):
+        vocab, tr, va = tiny
+        result = sl_train(tr, va, tiny_model(vocab),
+                          tiny_config(max_iterations=budget, eval_every=100))
+        assert [p.iteration for p in result.history.points] == points
+        assert result.iterations_run == budget
+        best = min(p.val_loss_v for p in result.history.points)
+        assert optim._split_losses(result.model, va)[1] == pytest.approx(best, rel=1e-12)
+
+
 class TestAggregatedTrain:
     def test_zero_weight_matches_visual_only_trajectory(self, tiny, monkeypatch):
         vocab, tr, va = tiny
