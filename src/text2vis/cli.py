@@ -137,8 +137,6 @@ def _load_model(path, vocab: textvec.Vocabulary) -> nn.Model:
 def _split_fractions(cfg: dict) -> tuple[float, float, float]:
     """The (train, validation, test) fractions, checked before any input is read."""
     fractions = (1.0 - cfg["val_frac"] - cfg["test_frac"], cfg["val_frac"], cfg["test_frac"])
-    if not (fractions[1] >= 0 and fractions[2] >= 0):
-        raise ValueError("val-frac and test-frac must be >= 0")
     if not fractions[0] > 0:
         raise ValueError("val-frac + test-frac leave no training data")
     return fractions
@@ -249,23 +247,26 @@ def cmd_train(args) -> int:
 
 def _eval_methods(cfg: dict) -> tuple[list[str], dict[str, str]]:
     """The --methods names and each --checkpoint NAME's path, checked against
-    evaluation.METHODS before any input is read."""
-    checkpoints: dict[str, str] = {}
-    for item in cfg["checkpoint"] or []:
-        name, sep, path = item.partition("=")
-        if not sep:
-            raise ValueError(f"--checkpoint wants NAME=PATH, got {item!r}")
-        if name in checkpoints:
-            raise ValueError(f"--checkpoint gives method {name!r} two checkpoints")
-        checkpoints[name] = path
+    evaluation.METHODS before any input is read.  Every NAME must be a selected
+    model method; the checkpoints are checked in sorted order, not flag order."""
     names = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
+    given = sorted(item.partition("=") for item in cfg["checkpoint"] or [])
     for name in names:
         if name not in evaluation.METHODS:
             raise ValueError(f"unknown method {name!r}")
-        if name in evaluation.MODEL_METHODS and name not in checkpoints:
+        if name in evaluation.MODEL_METHODS and name not in {n for n, _, _ in given}:
             raise ValueError(f"method {name!r} requires --checkpoint {name}=PATH")
     if not names:
         raise ValueError("no methods selected")
+    checkpoints: dict[str, str] = {}
+    for name, sep, path in given:
+        if not sep:
+            raise ValueError(f"--checkpoint wants NAME=PATH, got {name!r}")
+        if name not in names or name not in evaluation.MODEL_METHODS:
+            raise ValueError(f"--checkpoint names {name!r}, which is not a selected model method")
+        if name in checkpoints:
+            raise ValueError(f"--checkpoint gives method {name!r} two checkpoints")
+        checkpoints[name] = path
     return names, checkpoints
 
 
@@ -331,7 +332,8 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 _DATASET = (Flag("captions"), Flag("features"), Flag("vocab"))
-_SPLIT = (Flag("val_frac", 0.1), Flag("test_frac", 0.1), Flag("split_seed", 0, low=0))
+_SPLIT = (Flag("val_frac", 0.1, low=0), Flag("test_frac", 0.1, low=0),
+          Flag("split_seed", 0, low=0))
 
 # Each command's help and flags; its function is cmd_<name>, dashes as underscores.
 COMMANDS = {

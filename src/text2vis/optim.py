@@ -30,19 +30,16 @@ _ADAM_BLOCK = 1 << 14
 class Adam:
     """Adam with bias correction; moments are kept in float64 per parameter."""
 
-    def __init__(self, alpha: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
-        for name, value in (("alpha", alpha), ("epsilon", epsilon)):
-            if math.isinf(value):
-                raise ValueError(f"{name} must be finite")
-        if not (alpha > 0 and epsilon > 0):
-            raise ValueError("alpha and epsilon must be positive")
-        if not (0 < beta1 < 1 and 0 < beta2 < 1):
-            raise ValueError("betas must lie in (0, 1)")
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
+
+    def __init__(self, alpha: float = 0.001):
+        if math.isinf(alpha):
+            raise ValueError("alpha must be finite")
+        if not alpha > 0:
+            raise ValueError("alpha must be positive")
         self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -118,8 +115,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_iterations < 1 or self.eval_every < 1:
             raise ValueError("max_iterations and eval_every must be >= 1")
-        if self.eval_every > self.max_iterations:
-            raise ValueError("eval_every must be <= max_iterations")
         if not 0.0 <= self.sl_prob_visual <= 1.0:
             raise ValueError("sl_prob_visual must lie in [0, 1]")
         if self.patience < 0:
@@ -289,10 +284,12 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
                   progress=None) -> TrainResult:
     """The training loop shared by every strategy.
 
-    Each iteration draws a batch and its caption picks, then ``choose(rng)``
-    names the loss to step: "visual", "text" or "joint" (visual + text_weight *
-    text).  Each loss has its own Adam, made on its first step over the arrays
-    its gradients name, and steps only once every loss it computed is finite.
+    Iteration 0 takes no step; each later one draws a batch and its caption
+    picks, then ``choose(rng)`` names the loss to step: "visual", "text" or
+    "joint" (visual + text_weight * text).  Each loss has its own Adam, made on
+    its first step over the arrays its gradients name, and steps only once
+    every loss it computed is finite.  Multiples of eval_every and the budget's
+    end are eval points, and the result is read off the last one.
     """
     config.validate()
     if train.size == 0 or val.size == 0:
@@ -304,72 +301,58 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
     rng = np.random.default_rng(config.seed)
     sampler = _BatchSampler(train.size, config.batch_size, rng)
     history = TrainHistory()
-    best_snapshot: Model | None = None
-
-    def evaluate_point(iteration: int) -> bool:
-        """Record the split losses, keep the model if it is the best so far,
-        and say whether to stop early."""
-        nonlocal best_snapshot
-        tr_t, tr_v = _split_losses(model, train)
-        va_t, va_v = _split_losses(model, val)
-        history.points.append(HistoryPoint(iteration, tr_t, tr_v, va_t, va_v))
-        stop, best_iteration = early_stop_check(history, config.patience)
-        if best_iteration == iteration:
-            best_snapshot = model.copy()
-        if progress is not None:
-            progress(history.points[-1])
-        return stop
-
-    evaluate_point(0)
     adams: dict[str, Adam] = {}
     steps = {"visual": 0, "text": 0}
-    iterations_run = 0
-    stopped_early = False
-    started, cpu_started = time.perf_counter(), time.process_time()
 
-    for iteration in range(1, config.max_iterations + 1):
-        batch = sampler.next_batch()
-        in_pick, out_pick = pick_captions(train.n_captions[batch], rng)
-        inputs = nn.bow_matrix([train.caption_indices[i][p] for i, p in zip(batch, in_pick)],
-                               train.vocab_dim)
-        loss_name = choose(rng)
-        if loss_name != "visual":
-            text_targets = nn.bow_matrix(
-                [train.caption_indices[i][p] for i, p in zip(batch, out_pick)], train.vocab_dim)
-        if loss_name == "visual":
-            loss_v, grads = nn.backward_visual_batch(model, inputs, train.features[batch].T)
-            losses = {"visual": loss_v}
-        elif loss_name == "text":
-            loss_t, grads = nn.backward_text_batch(model, inputs, text_targets)
-            losses = {"text": loss_t}
-        else:
-            loss_t, loss_v, grads = nn.backward_joint_batch(
-                model, inputs, text_targets, train.features[batch].T, text_weight)
-            losses = {"visual": loss_v, "text": loss_t}
-        for branch, loss in losses.items():
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"{branch} loss is {loss} at iteration {iteration}")
-        if loss_name not in adams:
-            adams[loss_name] = Adam(alpha=config.learning_rate)
-        adams[loss_name].step({name: getattr(model, name) for name in grads}, grads)
-        for branch in losses:
-            steps[branch] += 1
+    for iteration in range(config.max_iterations + 1):
+        if iteration:
+            batch = sampler.next_batch()
+            in_pick, out_pick = pick_captions(train.n_captions[batch], rng)
+            captions = [train.caption_indices[i] for i in batch]
+            inputs = nn.bow_matrix([c[p] for c, p in zip(captions, in_pick)], train.vocab_dim)
+            loss_name = choose(rng)
+            if loss_name != "visual":
+                text_targets = nn.bow_matrix([c[p] for c, p in zip(captions, out_pick)],
+                                             train.vocab_dim)
+            if loss_name == "visual":
+                loss_v, grads = nn.backward_visual_batch(model, inputs, train.features[batch].T)
+                losses = {"visual": loss_v}
+            elif loss_name == "text":
+                loss_t, grads = nn.backward_text_batch(model, inputs, text_targets)
+                losses = {"text": loss_t}
+            else:
+                loss_t, loss_v, grads = nn.backward_joint_batch(
+                    model, inputs, text_targets, train.features[batch].T, text_weight)
+                losses = {"visual": loss_v, "text": loss_t}
+            for branch, loss in losses.items():
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(f"{branch} loss is {loss} at iteration {iteration}")
+                steps[branch] += 1
+            if loss_name not in adams:
+                adams[loss_name] = Adam(alpha=config.learning_rate)
+            adams[loss_name].step({name: getattr(model, name) for name in grads}, grads)
 
-        iterations_run = iteration
-        at_point = iteration % config.eval_every == 0 or iteration == config.max_iterations
-        if at_point and evaluate_point(iteration):
-            stopped_early = True
-            break
+        if iteration % config.eval_every == 0 or iteration == config.max_iterations:
+            tr_t, tr_v = _split_losses(model, train)
+            va_t, va_v = _split_losses(model, val)
+            history.points.append(HistoryPoint(iteration, tr_t, tr_v, va_t, va_v))
+            stop, best_iteration = early_stop_check(history, config.patience)
+            if best_iteration == iteration:
+                best_point, best_model = history.points[-1], model.copy()
+            if progress is not None:
+                progress(history.points[-1])
+            if iteration == 0:  # the clocks time what follows point 0
+                started, cpu_started = time.perf_counter(), time.process_time()
+            if stop:
+                break
 
     wall = time.perf_counter() - started
     cpu = time.process_time() - cpu_started
-    _, best_iteration = early_stop_check(history, config.patience)
-    best_val = min(p.val_loss_v for p in history.points)
-    return TrainResult(model=best_snapshot, history=history,
-                       best_iteration=best_iteration, best_val_loss_v=best_val,
-                       iterations_run=iterations_run, visual_steps=steps["visual"],
-                       text_steps=steps["text"], wall_seconds=wall,
-                       stopped_early=stopped_early, cpu_seconds=cpu)
+    return TrainResult(model=best_model, history=history,
+                       best_iteration=best_iteration, best_val_loss_v=best_point.val_loss_v,
+                       iterations_run=history.points[-1].iteration,
+                       visual_steps=steps["visual"], text_steps=steps["text"],
+                       wall_seconds=wall, stopped_early=stop, cpu_seconds=cpu)
 
 
 def sl_train(train: EncodedDataset, val: EncodedDataset, model: Model,

@@ -330,11 +330,11 @@ class TestValueRanges:
         ("train", ["--seed", "-1"], "seed must be >= 0"),
         ("train", ["--lambda", "nan", "--strategy", "aggregated"], "lambda must be finite"),
         ("train", ["--lambda", "inf"], "lambda must be finite"),
-        ("train", ["--val-frac", "-0.1"], "val-frac and test-frac must be >= 0"),
+        ("train", ["--val-frac", "-0.1"], "val_frac must be >= 0"),
         ("train", ["--test-frac", "nan"], "test_frac must be finite"),
         ("train", ["--val-frac", "0.5", "--test-frac", "0.5"],
          "val-frac + test-frac leave no training data"),
-        ("eval", ["--test-frac", "-0.2"], "val-frac and test-frac must be >= 0"),
+        ("eval", ["--test-frac", "-0.2"], "test_frac must be >= 0"),
         ("eval", ["--val-frac", "0.9", "--test-frac", "0.2"],
          "val-frac + test-frac leave no training data"),
         ("gen-synth", ["--noise-sigma", "nan"], "noise_sigma must be finite"),
@@ -351,8 +351,6 @@ class TestValueRanges:
         ("train", ["--lambda=-inf"], "lambda must be finite"),
         ("train", ["--lambda", "-inf"], "lambda must be finite"),
         ("train", ["--lambda", "-1e400"], "lambda must be finite"),
-        ("train", ["--max-iters", "300", "--eval-every", "500"],
-         "eval_every must be <= max_iterations"),
         ("gen-synth", ["--seed", "-1"], "seed must be >= 0"),
         ("eval", ["--seed", "-1"], "seed must be >= 0"),
         ("train", ["--split-seed", "-1"], "split_seed must be >= 0"),
@@ -362,6 +360,12 @@ class TestValueRanges:
         ("eval", ["--methods", "visreg"], "method 'visreg' requires --checkpoint visreg=PATH"),
         ("eval", ["--checkpoint", "text2vis=other.t2vm"],
          "--checkpoint gives method 'text2vis' two checkpoints"),
+        ("eval", ["--methods", "vissim", "--checkpoint", "bogus=x"],
+         "--checkpoint names 'bogus', which is not a selected model method"),
+        ("eval", ["--methods", "vissim", "--checkpoint", "text2vis=x"],
+         "--checkpoint names 'text2vis', which is not a selected model method"),
+        ("eval", ["--checkpoint", "vissim=x"],
+         "--checkpoint names 'vissim', which is not a selected model method"),
     ])
     def test_rejected_before_any_input_is_read(self, tmp_path, capsys, command, words,
                                                message):
@@ -408,7 +412,9 @@ class TestValueRanges:
         lows = {(command, flag.key): flag.low for command, (_, flags) in cli.COMMANDS.items()
                 for flag in flags if flag.low is not None}
         assert lows == {("gen-synth", "seed"): 0, ("train", "hidden"): 1, ("train", "seed"): 0,
+                        ("train", "val_frac"): 0, ("train", "test_frac"): 0,
                         ("train", "split_seed"): 0, ("eval", "p"): 1, ("eval", "seed"): 0,
+                        ("eval", "val_frac"): 0, ("eval", "test_frac"): 0,
                         ("eval", "split_seed"): 0, ("search", "k"): 1}
 
     def test_eval_split_all_ignores_the_fractions(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Hash every output of a fixed desk-scale text2vis pipeline.
 
-Runs gen-synth, a unigram and an ngram build-vocab, five trainings, three
+Runs gen-synth, a unigram and an ngram build-vocab, seven trainings, three
 evals and four searches with fixed flags in a temporary directory, then
 prints `sha256  relative/path` for each file it wrote, sorted by path.  With
 --expect FILE it compares the listing against FILE (same format) and exits 1
@@ -34,6 +34,9 @@ _DATA = [*_INPUTS, "--vocab", "vocab.txt"]
 _DATA_NGRAM = [*_INPUTS, "--vocab", "vocab_ngram.txt"]
 _TRAIN_FLAGS = ["--hidden", "128", "--max-iters", "600", "--eval-every", "100", "--seed", "3"]
 _TRAIN = ["train", *_DATA, *_TRAIN_FLAGS]
+# A budget off its eval interval, so the last eval point is the budget's end.
+_TRAIN_OFF_INTERVAL = ["train", *_DATA, "--strategy", "sl", "--hidden", "128",
+                       "--max-iters", "250", "--eval-every", "20", "--seed", "3"]
 _SEARCH = ["--checkpoint", "sl/checkpoint.t2vm", "--vocab", "vocab.txt",
            "--features", "ds/features.t2vf"]
 _SEARCH_NGRAM = ["--checkpoint", "sl_ngram/checkpoint.t2vm", "--vocab", "vocab_ngram.txt",
@@ -46,6 +49,8 @@ COMMANDS = [
     [*_TRAIN, "--strategy", "aggregated", "--lambda", "1", "--out", "agg1"],
     [*_TRAIN, "--strategy", "aggregated", "--lambda", "0", "--out", "agg0"],
     [*_TRAIN, "--strategy", "visreg", "--out", "visreg"],
+    [*_TRAIN_OFF_INTERVAL, "--out", "sl_250"],
+    [*_TRAIN_OFF_INTERVAL, "--patience", "1", "--learning-rate", "0.01", "--out", "sl_stop"],
     ["eval", *_DATA, "--methods", "text2vis,visreg,vissim,rrank",
      "--checkpoint", "text2vis=sl/checkpoint.t2vm",
      "--checkpoint", "visreg=visreg/checkpoint.t2vm", "--out", "eval"],
