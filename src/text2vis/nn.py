@@ -156,7 +156,8 @@ def forward(model: Model, text_bow: BowVector) -> ForwardResult:
 # ---------------------------------------------------------------------------
 # The batched network, used by the trainers and for ranking.  Inputs are
 # dense float64 matrices with one column per example (a single example is a
-# batch of one); returned gradients are means over the batch.
+# batch of one); returned gradients are means over the batch, and the w_hid
+# gradient holds only the columns of the batch's active vocabulary rows.
 # ---------------------------------------------------------------------------
 
 # Examples per forward pass over a whole split or query set: it bounds the
@@ -173,13 +174,21 @@ def bow_matrix(index_lists, dim: int) -> np.ndarray:
     return out
 
 
-def hidden_batch(model: Model, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def active_rows(inputs: np.ndarray) -> np.ndarray:
+    """Ascending ids of the rows of a [vocab x batch] input matrix that are
+    non-zero somewhere in the batch: a zero row adds nothing to any product
+    with the inputs, so these are the only vocabulary rows a step reads."""
+    return np.flatnonzero(inputs.any(axis=1))
+
+
+def hidden_batch(model: Model, inputs: np.ndarray,
+                 active: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(pre-activation, activation) of the hidden layer for a [vocab x batch] input
-    matrix.  Only the vocabulary rows that are non-zero somewhere in the batch are
-    multiplied, and only their columns of w_hid are copied to float64: a zero row
-    adds nothing to any sum."""
-    active = np.flatnonzero(inputs.any(axis=1))
-    pre = (model.w_hid[:, active].astype(np.float64) @ inputs[active]
+    matrix.  Only the rows ``active`` (by default active_rows(inputs)) are
+    multiplied, and only their columns of w_hid are copied to float64."""
+    if active is None:
+        active = active_rows(inputs)
+    pre = (np.take(model.w_hid, active, axis=1).astype(np.float64) @ inputs[active]
            + model.b_hid.astype(np.float64)[:, None])
     return pre, relu(pre)
 
@@ -188,14 +197,22 @@ def _head(model: Model, head: str, hidden: np.ndarray) -> tuple[np.ndarray, np.n
     """float64 weights and pre-activation of one head ("txt" or "vis") for a
     [hidden x batch] activation matrix."""
     w64 = getattr(model, f"w_{head}").astype(np.float64)
-    return w64, w64 @ hidden + getattr(model, f"b_{head}").astype(np.float64)[:, None]
+    pre = w64 @ hidden
+    pre += getattr(model, f"b_{head}").astype(np.float64)[:, None]
+    return w64, pre
+
+
+def _head_output(model: Model, head: str, hidden: np.ndarray) -> np.ndarray:
+    """ReLU of one head's pre-activation, taken in the pre-activation's own array."""
+    pre = _head(model, head, hidden)[1]
+    return np.maximum(pre, 0, out=pre)
 
 
 def forward_batch(model: Model, inputs: np.ndarray):
     """(hidden, text_recon, visual_pred) for a [vocab x batch] input matrix."""
     _, hidden = hidden_batch(model, inputs)
-    text_recon = relu(_head(model, "txt", hidden)[1]) if model.has_text_branch else None
-    return hidden, text_recon, relu(_head(model, "vis", hidden)[1])
+    text_recon = _head_output(model, "txt", hidden) if model.has_text_branch else None
+    return hidden, text_recon, _head_output(model, "vis", hidden)
 
 
 def visual_predictions(model: Model, bows) -> np.ndarray:
@@ -212,41 +229,69 @@ def visual_predictions(model: Model, bows) -> np.ndarray:
     return np.ascontiguousarray(visual_pred.T)
 
 
-def _head_backward_batch(model: Model, head: str, pre1, hidden, inputs, targets):
-    """Loss and gradients of one head ("txt" or "vis") over {w_hid, b_hid, w_head, b_head}."""
+def _head_backward_batch(model: Model, head: str, pre1, hidden, inputs, targets, active):
+    """Loss and gradients of one head ("txt" or "vis") over {w_hid, b_hid, w_head, b_head}.
+
+    grads["w_hid"] is the [hidden x len(active)] block of the w_hid gradient's
+    columns ``active``, ``delta_hid @ inputs[active].T``.  The product's inner
+    dimension is the batch, so the block is bitwise those columns of the dense
+    ``delta_hid @ inputs.T``, and every other column of that product is +0."""
     w_out64, pre_out = _head(model, head, hidden)
     diff = relu(pre_out) - targets
     loss = float(np.mean(diff * diff))
 
     delta_out = (2.0 / diff.size) * diff * (pre_out > 0)
     delta_hid = (w_out64.T @ delta_out) * (pre1 > 0)
-    return loss, {"w_hid": delta_hid @ inputs.T, "b_hid": delta_hid.sum(axis=1),
+    del w_out64, pre_out, diff  # freed before the head's weight gradient is made
+    return loss, {"w_hid": delta_hid @ inputs[active].T, "b_hid": delta_hid.sum(axis=1),
                   f"w_{head}": delta_out @ hidden.T, f"b_{head}": delta_out.sum(axis=1)}
 
 
-def backward_text_batch(model: Model, inputs: np.ndarray, targets: np.ndarray):
-    """Mean text loss and mean per-example gradients for a batch."""
-    return _head_backward_batch(model, "txt", *hidden_batch(model, inputs), inputs, targets)
+def _backward_batch(model: Model, head: str, inputs, targets, active):
+    if active is None:
+        active = active_rows(inputs)
+    return _head_backward_batch(model, head, *hidden_batch(model, inputs, active),
+                                inputs, targets, active)
 
 
-def backward_visual_batch(model: Model, inputs: np.ndarray, targets: np.ndarray):
-    """Mean visual loss and mean per-example gradients for a batch."""
-    return _head_backward_batch(model, "vis", *hidden_batch(model, inputs), inputs, targets)
+def backward_text_batch(model: Model, inputs: np.ndarray, targets: np.ndarray,
+                        active: np.ndarray | None = None):
+    """Mean text loss and mean per-example gradients for a batch.  The w_hid
+    gradient is the block of its columns ``active``, by default
+    active_rows(inputs); see _head_backward_batch."""
+    return _backward_batch(model, "txt", inputs, targets, active)
+
+
+def backward_visual_batch(model: Model, inputs: np.ndarray, targets: np.ndarray,
+                          active: np.ndarray | None = None):
+    """Mean visual loss and mean per-example gradients for a batch, with the
+    w_hid gradient as in backward_text_batch."""
+    return _backward_batch(model, "vis", inputs, targets, active)
 
 
 def backward_joint_batch(model: Model, inputs: np.ndarray, text_targets: np.ndarray,
-                         visual_targets: np.ndarray, text_weight: float):
-    """Gradients of visual_loss + text_weight * text_loss over all parameters.
+                         visual_targets: np.ndarray, text_weight: float,
+                         active: np.ndarray | None = None):
+    """Gradients of visual_loss + text_weight * text_loss over all parameters,
+    with the w_hid gradient as in backward_text_batch.
 
-    The hidden layer is computed once and shared by both heads.
+    The hidden layer is computed once and shared by both heads.  The text
+    head's gradients are scaled in place, then its w_hid and b_hid gradients
+    are added to the visual head's: the sum of the two heads' products, not
+    one product of their summed deltas, which would round differently.
     """
-    pre1, hidden = hidden_batch(model, inputs)
-    loss_v, grads = _head_backward_batch(model, "vis", pre1, hidden, inputs, visual_targets)
-    loss_t, text_grads = _head_backward_batch(model, "txt", pre1, hidden, inputs, text_targets)
-    grads["w_hid"] += text_weight * text_grads["w_hid"]
-    grads["b_hid"] += text_weight * text_grads["b_hid"]
-    grads["w_txt"] = text_weight * text_grads["w_txt"]
-    grads["b_txt"] = text_weight * text_grads["b_txt"]
+    if active is None:
+        active = active_rows(inputs)
+    pre1, hidden = hidden_batch(model, inputs, active)
+    loss_v, grads = _head_backward_batch(model, "vis", pre1, hidden, inputs, visual_targets,
+                                         active)
+    loss_t, text_grads = _head_backward_batch(model, "txt", pre1, hidden, inputs,
+                                              text_targets, active)
+    for g in text_grads.values():
+        g *= text_weight
+    grads["w_hid"] += text_grads.pop("w_hid")
+    grads["b_hid"] += text_grads.pop("b_hid")
+    grads.update(text_grads)
     return loss_t, loss_v, grads
 
 

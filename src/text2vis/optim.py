@@ -27,6 +27,29 @@ class TrainingDiverged(RuntimeError):
 _ADAM_BLOCK = 1 << 14
 
 
+def _gradient_blocks(g: np.ndarray, shape: tuple, ids: np.ndarray | None):
+    """(flat slice, float64 gradient) of each block of Adam's walk over a
+    parameter of ``shape``, in ascending order.
+
+    Without ``ids`` the blocks are _ADAM_BLOCK-element slices of ``g``.  With
+    ``ids``, ``g`` holds only the columns ``ids`` of a 2-D gradient; a block is
+    then whole rows, scattered into a buffer whose other columns stay +0, so no
+    gradient the size of the parameter is made.  A block is valid until the
+    next one is drawn."""
+    if ids is None:
+        g = np.asarray(g, dtype=np.float64).reshape(-1)
+        for start in range(0, g.size, _ADAM_BLOCK):
+            yield slice(start, start + _ADAM_BLOCK), g[start:start + _ADAM_BLOCK]
+        return
+    rows, cols = shape
+    per_block = max(1, _ADAM_BLOCK // cols)
+    dense = np.zeros((per_block, cols))
+    for start in range(0, rows, per_block):
+        part = g[start:start + per_block]
+        dense[:len(part), ids] = part
+        yield slice(start * cols, (start + len(part)) * cols), dense[:len(part)].reshape(-1)
+
+
 class Adam:
     """Adam with bias correction; moments are kept in float64 per parameter."""
 
@@ -44,26 +67,45 @@ class Adam:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+             columns: dict[str, np.ndarray] | None = None) -> None:
         """One update, in place; parameter dtypes are preserved.
 
-        Each parameter is walked in blocks of _ADAM_BLOCK elements.  A block
-        runs the operations of the textbook formula in its order,
+        ``columns`` names, for a 2-D parameter, the ascending ids of the
+        columns its gradient holds: grads[name] is then the [rows x len(ids)]
+        block of those columns, and every other column's gradient is +0.
+
+        Each parameter is walked in blocks (_gradient_blocks).  A block runs
+        the operations of the textbook formula in its order,
             m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
             p = p - alpha*(m/bc1) / (sqrt(v/bc2) + eps)
-        so the result is bitwise that formula's, but no array the size of a
-        parameter is allocated.  Every argument is checked before any
-        parameter is touched.
+        so the result is bitwise that formula's on the whole gradient, the
+        +0 columns included, but no array the size of a parameter is
+        allocated.  Every argument is checked before any parameter is touched.
         """
+        columns = {name: np.asarray(ids) for name, ids in (columns or {}).items()}
         if set(params) != set(grads):
             raise ValueError("parameter and gradient keys differ")
+        if not set(columns) <= set(params):
+            raise ValueError("columns name a parameter that is not stepped")
         for name, g in grads.items():
             if not np.isfinite(g).all():
                 raise ValueError(f"non-finite gradient for {name!r}")
             p = params[name]
-            if np.shape(g) != p.shape:
+            shape = p.shape
+            if name in columns:
+                ids = columns[name]
+                if p.ndim != 2 or ids.ndim != 1 or ids.dtype.kind not in "iu":
+                    raise ValueError(f"columns of {name!r} must be a 1-D integer array "
+                                     "of a 2-D parameter")
+                if ids.size and (ids[0] < 0 or ids[-1] >= p.shape[1]
+                                 or (np.diff(ids) <= 0).any()):
+                    raise ValueError(f"columns of {name!r} must ascend strictly "
+                                     f"within [0, {p.shape[1]})")
+                shape = (p.shape[0], ids.size)
+            if np.shape(g) != shape:
                 raise ValueError(
-                    f"gradient shape {np.shape(g)} does not match {name!r} shape {p.shape}")
+                    f"gradient shape {np.shape(g)} does not match {name!r} shape {shape}")
             if not p.flags.c_contiguous:
                 raise ValueError(f"parameter {name!r} is not C-contiguous; "
                                  "it cannot be updated in place")
@@ -71,17 +113,17 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
-        a = np.empty(_ADAM_BLOCK)
-        b = np.empty(_ADAM_BLOCK)
+        # A block of whole rows can be longer than _ADAM_BLOCK.
+        work = max([_ADAM_BLOCK] + [params[name].shape[1] for name in columns])
+        a = np.empty(work)
+        b = np.empty(work)
         for name, p in params.items():
             if name not in self._m:
                 self._m[name] = np.zeros(p.shape, dtype=np.float64)
                 self._v[name] = np.zeros(p.shape, dtype=np.float64)
-            g = np.asarray(grads[name], dtype=np.float64).reshape(-1)
             m, v, flat = self._m[name].reshape(-1), self._v[name].reshape(-1), p.reshape(-1)
-            for start in range(0, flat.size, _ADAM_BLOCK):
-                block = slice(start, start + _ADAM_BLOCK)
-                gb, mb, vb, pb = g[block], m[block], v[block], flat[block]
+            for block, gb in _gradient_blocks(grads[name], p.shape, columns.get(name)):
+                mb, vb, pb = m[block], v[block], flat[block]
                 ab, bb = a[:gb.size], b[:gb.size]
                 mb *= b1
                 np.multiply(gb, 1.0 - b1, out=ab)
@@ -254,16 +296,20 @@ class _BatchSampler:
 
 def _split_losses(model: Model, ds: EncodedDataset) -> tuple[float | None, float]:
     """Deterministic whole-split losses, using each image's first caption as
-    both the input and the reconstruction target."""
+    both the input and the reconstruction target.  Each head's differences are
+    squared in its own output array, which keeps that array's layout, so every
+    sum is bitwise that of a new array of squares."""
     sq_t = 0.0
     sq_v = 0.0
     for start in range(0, ds.size, nn.BATCH_CHUNK):
         cols = [caps[0] for caps in ds.caption_indices[start:start + nn.BATCH_CHUNK]]
         inputs = nn.bow_matrix(cols, ds.vocab_dim)
         _, text_recon, visual_pred = nn.forward_batch(model, inputs)
-        sq_v += float(((visual_pred - ds.features[start:start + nn.BATCH_CHUNK].T) ** 2).sum())
+        np.subtract(visual_pred, ds.features[start:start + nn.BATCH_CHUNK].T, out=visual_pred)
+        sq_v += float(np.square(visual_pred, out=visual_pred).sum())
         if text_recon is not None:
-            sq_t += float(((text_recon - inputs) ** 2).sum())
+            np.subtract(text_recon, inputs, out=text_recon)
+            sq_t += float(np.square(text_recon, out=text_recon).sum())
     loss_v = sq_v / (ds.size * ds.visual_dim)
     loss_t = sq_t / (ds.size * ds.vocab_dim) if model.has_text_branch else None
     return loss_t, loss_v
@@ -286,10 +332,13 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
 
     Iteration 0 takes no step; each later one draws a batch and its caption
     picks, then ``choose(rng)`` names the loss to step: "visual", "text" or
-    "joint" (visual + text_weight * text).  Each loss has its own Adam, made on
-    its first step over the arrays its gradients name, and steps only once
-    every loss it computed is finite.  Multiples of eval_every and the budget's
-    end are eval points, and the result is read off the last one.
+    "joint" (visual + text_weight * text).  The batch's active vocabulary rows
+    are found once: the backward pass multiplies only those rows and returns
+    the w_hid gradient as the block of their columns, which Adam takes as is.
+    Each loss has its own Adam, made on its first step over the arrays its
+    gradients name, and steps only once every loss it computed is finite.
+    Multiples of eval_every and the budget's end are eval points, and the
+    result is read off the last one.
     """
     config.validate()
     if train.size == 0 or val.size == 0:
@@ -310,19 +359,21 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
             in_pick, out_pick = pick_captions(train.n_captions[batch], rng)
             captions = [train.caption_indices[i] for i in batch]
             inputs = nn.bow_matrix([c[p] for c, p in zip(captions, in_pick)], train.vocab_dim)
+            active = nn.active_rows(inputs)
             loss_name = choose(rng)
             if loss_name != "visual":
                 text_targets = nn.bow_matrix([c[p] for c, p in zip(captions, out_pick)],
                                              train.vocab_dim)
             if loss_name == "visual":
-                loss_v, grads = nn.backward_visual_batch(model, inputs, train.features[batch].T)
+                loss_v, grads = nn.backward_visual_batch(model, inputs, train.features[batch].T,
+                                                         active)
                 losses = {"visual": loss_v}
             elif loss_name == "text":
-                loss_t, grads = nn.backward_text_batch(model, inputs, text_targets)
+                loss_t, grads = nn.backward_text_batch(model, inputs, text_targets, active)
                 losses = {"text": loss_t}
             else:
                 loss_t, loss_v, grads = nn.backward_joint_batch(
-                    model, inputs, text_targets, train.features[batch].T, text_weight)
+                    model, inputs, text_targets, train.features[batch].T, text_weight, active)
                 losses = {"visual": loss_v, "text": loss_t}
             for branch, loss in losses.items():
                 if not np.isfinite(loss):
@@ -330,7 +381,8 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
                 steps[branch] += 1
             if loss_name not in adams:
                 adams[loss_name] = Adam(alpha=config.learning_rate)
-            adams[loss_name].step({name: getattr(model, name) for name in grads}, grads)
+            adams[loss_name].step({name: getattr(model, name) for name in grads}, grads,
+                                  columns={"w_hid": active})
 
         if iteration % config.eval_every == 0 or iteration == config.max_iterations:
             tr_t, tr_v = _split_losses(model, train)

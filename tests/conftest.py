@@ -1,11 +1,21 @@
 """Shared fixtures: the default synthetic dataset and the grid of training
-runs (strategy x seed) that the end-to-end tests compare."""
+runs (strategy x seed) that the end-to-end tests compare; and dense_grads,
+which the gradient checks share."""
 
 from __future__ import annotations
 
-import pytest
+import os
 
-from text2vis import data, nn, optim, textvec
+# One BLAS thread, as perfbench runs: a second thread only spins on a small
+# shared machine and doubles the suite's CPU time.  OpenBLAS reads these once,
+# when numpy is first imported, which is below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from text2vis import data, nn, optim, textvec  # noqa: E402
 
 TRAIN_SEEDS = (0, 1, 2)
 TRAIN_HIDDEN = 128
@@ -36,6 +46,15 @@ def synth_splits(synth_default):
 def encoded_splits(synth_splits, synth_vocab):
     return (optim.encode_dataset(synth_splits.train, synth_vocab),
             optim.encode_dataset(synth_splits.validation, synth_vocab))
+
+
+def dense_grads(grads: dict, inputs: np.ndarray) -> dict:
+    """``grads`` of a backward pass on ``inputs``, with the w_hid block
+    scattered into the whole [hidden x vocab] gradient, every other column +0."""
+    block = grads["w_hid"]
+    w_hid = np.zeros((block.shape[0], inputs.shape[0]))
+    w_hid[:, nn.active_rows(inputs)] = block
+    return {**grads, "w_hid": w_hid}
 
 
 def _train_config(seed: int) -> optim.TrainConfig:

@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
+from conftest import dense_grads
 
 from text2vis import evaluation, nn, optim, retrieval
 from text2vis.cli import main
@@ -89,10 +90,11 @@ def test_c01_gradients_match_finite_differences():
         inputs = nn.bow_matrix([bow.on_indices], bow.dim)
         text_targets = nn.bow_matrix([text_target.on_indices], bow.dim)
         visual_targets = visual_target[:, None]
-        _, grads_t = nn.backward_text_batch(model, inputs, text_targets)
+        grads_t = dense_grads(nn.backward_text_batch(model, inputs, text_targets)[1], inputs)
         worst = max(worst, _fd_check(
             lambda: nn.backward_text_batch(model, inputs, text_targets)[0], model, grads_t))
-        _, grads_v = nn.backward_visual_batch(model, inputs, visual_targets)
+        grads_v = dense_grads(nn.backward_visual_batch(model, inputs, visual_targets)[1],
+                              inputs)
         worst = max(worst, _fd_check(
             lambda: nn.backward_visual_batch(model, inputs, visual_targets)[0], model,
             grads_v))

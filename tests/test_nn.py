@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dense_grads
 from hypothesis import example, given, settings, strategies as st
 
 from text2vis import nn
@@ -326,7 +327,7 @@ class TestBackward:
         m = toy_model(rng, vocab=5, hidden=4, visual=3)
         inputs = one(BowVector(5, (0, 2, 4)))
         target = rng.uniform(0, 1, (3, 1))
-        _, analytic = nn.backward_visual_batch(m, inputs, target)
+        analytic = dense_grads(nn.backward_visual_batch(m, inputs, target)[1], inputs)
         numeric = {k: fd_gradient(lambda mm: nn.backward_visual_batch(mm, inputs, target)[0],
                                   m, k)
                    for k in analytic}
@@ -336,7 +337,7 @@ class TestBackward:
         rng = np.random.default_rng(8)
         m = toy_model(rng, vocab=5, hidden=4, visual=3)
         inputs, target = one(BowVector(5, (1, 3))), one(BowVector(5, (0, 2)))
-        _, analytic = nn.backward_text_batch(m, inputs, target)
+        analytic = dense_grads(nn.backward_text_batch(m, inputs, target)[1], inputs)
         numeric = {k: fd_gradient(lambda mm: nn.backward_text_batch(mm, inputs, target)[0],
                                   m, k)
                    for k in analytic}
@@ -348,7 +349,7 @@ class TestBackward:
             m = toy_model(rng)
             inputs, target = one(BowVector(4, (0, 1))), rng.uniform(0, 1, (2, 1))
             before, grads = nn.backward_visual_batch(m, inputs, target)
-            for key, g in grads.items():
+            for key, g in dense_grads(grads, inputs).items():
                 p = m.params()[key]
                 p[...] = p - step * g
             after, _ = nn.backward_visual_batch(m, inputs, target)
@@ -361,12 +362,125 @@ class TestBackward:
         targets = rng.uniform(0, 1, (3, 3))
         inputs = nn.bow_matrix([b.on_indices for b in bows], 6)
         loss_b, grads_b = nn.backward_visual_batch(m, inputs, targets.T)
+        grads_b = dense_grads(grads_b, inputs)
         singles = [nn.backward_visual_batch(m, one(b), t[:, None])
                    for b, t in zip(bows, targets)]
         assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), abs=1e-12)
+        singles_grads = [dense_grads(s[1], one(b)) for s, b in zip(singles, bows)]
         for key in grads_b:
-            mean_grad = np.mean([s[1][key] for s in singles], axis=0)
+            mean_grad = np.mean([g[key] for g in singles_grads], axis=0)
             assert np.abs(grads_b[key] - mean_grad).max() < 1e-12
+
+
+def blas_name() -> str:
+    """numpy's BLAS, as np.show_config() names it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 prints its config only
+        return "this numpy's BLAS (see np.show_config())"
+    return f"{blas.get('name')} {blas.get('version', '')}".strip()
+
+
+def dense_head_backward(model, head, inputs, targets):
+    """One head's gradients by the dense formula: the w_hid gradient over every
+    vocabulary column, ``delta_hid @ inputs.T``."""
+    pre1, hidden = nn.hidden_batch(model, inputs)
+    w = getattr(model, f"w_{head}").astype(np.float64)
+    pre_out = w @ hidden + getattr(model, f"b_{head}").astype(np.float64)[:, None]
+    diff = relu(pre_out) - targets
+    delta_out = (2.0 / diff.size) * diff * (pre_out > 0)
+    delta_hid = (w.T @ delta_out) * (pre1 > 0)
+    return {"w_hid": delta_hid @ inputs.T, "b_hid": delta_hid.sum(axis=1),
+            f"w_{head}": delta_out @ hidden.T, f"b_{head}": delta_out.sum(axis=1)}
+
+
+def dense_joint_backward(model, inputs, text_targets, visual_targets, text_weight):
+    """backward_joint_batch's gradients by the dense formula."""
+    grads = dense_head_backward(model, "vis", inputs, visual_targets)
+    text = dense_head_backward(model, "txt", inputs, text_targets)
+    grads["w_hid"] += text_weight * text["w_hid"]
+    grads["b_hid"] += text_weight * text["b_hid"]
+    grads["w_txt"] = text_weight * text["w_txt"]
+    grads["b_txt"] = text_weight * text["b_txt"]
+    return grads
+
+
+def batch_inputs(rng, vocab, batch, pattern):
+    """A binary [vocab x batch] input matrix: "random" words, "all" rows
+    active, "one" word in every column, or an "empty" caption among random ones."""
+    if pattern == "all":
+        return np.ones((vocab, batch))
+    if pattern == "one":
+        return nn.bow_matrix([(int(rng.integers(vocab)),) for _ in range(batch)], vocab)
+    inputs = (rng.random((vocab, batch)) < rng.uniform(0.05, 0.5)).astype(np.float64)
+    if pattern == "empty":
+        inputs[:, rng.integers(batch)] = 0.0
+    return inputs
+
+
+def assert_block_is_dense_columns(got, want, inputs):
+    """The block equals the dense gradient's active columns bit for bit, and
+    the dense gradient's other columns are all +0."""
+    active = nn.active_rows(inputs)
+    assert got["w_hid"].shape == (want["w_hid"].shape[0], active.size)
+    assert got["w_hid"].tobytes() == want["w_hid"][:, active].tobytes(), (
+        f"w_hid block differs from the dense product's columns under {blas_name()}")
+    rest = np.delete(want["w_hid"], active, axis=1)
+    assert not rest.any() and not np.signbit(rest).any(), (
+        f"the dense product's inactive columns are not all +0 under {blas_name()}")
+    assert got.keys() == want.keys()
+    for key in got.keys() - {"w_hid"}:
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+class TestWHidBlock:
+    """The w_hid gradient is the block of the batch's active columns, bitwise
+    the dense formula's, in each backward pass."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(vocab=st.integers(1, 40), hidden=st.integers(1, 8), visual=st.integers(1, 6),
+           batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           pattern=st.sampled_from(["random", "all", "one", "empty"]),
+           text_weight=st.sampled_from([1.0, 0.5, -0.75]))
+    @example(vocab=5, hidden=3, visual=2, batch=4, seed=1, pattern="all", text_weight=1.0)
+    @example(vocab=9, hidden=4, visual=3, batch=5, seed=2, pattern="one", text_weight=0.5)
+    @example(vocab=7, hidden=3, visual=2, batch=1, seed=3, pattern="empty",
+             text_weight=-0.75)
+    def test_matches_dense_formula(self, vocab, hidden, visual, batch, seed, pattern,
+                                   text_weight):
+        rng = np.random.default_rng(seed)
+        m = toy_model(rng, vocab=vocab, hidden=hidden, visual=visual, dtype=np.float32)
+        inputs = batch_inputs(rng, vocab, batch, pattern)
+        text_targets = batch_inputs(rng, vocab, batch, "random")
+        visual_targets = rng.uniform(0, 1, (visual, batch))
+        self.check_all_passes(m, inputs, text_targets, visual_targets, text_weight)
+
+    @pytest.mark.parametrize("words, empty", [(10, False), (1, False), (10, True)])
+    def test_matches_dense_formula_at_a_training_batch(self, words, empty):
+        # 100 captions of `words` terms over a vocabulary of 3,000: BLAS blocks
+        # these products as it does at the published dims
+        rng = np.random.default_rng(17)
+        m = init_model(3000, 128, 64, seed=17)
+        inputs, text_targets = (
+            nn.bow_matrix([rng.choice(3000, n, replace=False) for _ in range(100)], 3000)
+            for n in (words, 10))
+        if empty:
+            inputs[:, 7] = 0.0
+        visual_targets = rng.uniform(0, 1, (64, 100))
+        self.check_all_passes(m, inputs, text_targets, visual_targets, 0.5)
+
+    @staticmethod
+    def check_all_passes(m, inputs, text_targets, visual_targets, text_weight):
+        assert_block_is_dense_columns(nn.backward_visual_batch(m, inputs, visual_targets)[1],
+                                      dense_head_backward(m, "vis", inputs, visual_targets),
+                                      inputs)
+        assert_block_is_dense_columns(nn.backward_text_batch(m, inputs, text_targets)[1],
+                                      dense_head_backward(m, "txt", inputs, text_targets),
+                                      inputs)
+        assert_block_is_dense_columns(
+            nn.backward_joint_batch(m, inputs, text_targets, visual_targets, text_weight)[2],
+            dense_joint_backward(m, inputs, text_targets, visual_targets, text_weight),
+            inputs)
 
 
 class TestParamCount:

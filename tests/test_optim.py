@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from text2vis import data, nn, optim, textvec
@@ -114,6 +115,58 @@ class TestAdam:
                 assert params[name].tobytes() == p_ref.tobytes()
                 assert adam._m[name].tobytes() == m_ref.tobytes()
                 assert adam._v[name].tobytes() == v_ref.tobytes()
+
+
+class TestAdamColumnBlock:
+    """A gradient given as a block of columns steps the parameter bitwise as
+    the textbook formula does on the gradient with +0 in every other column."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(1, 60), cols=st.integers(1, 900),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    @example(rows=50, cols=700, dtype=np.float32, seed=1)  # 23-row blocks, the last short
+    @example(rows=3, cols=optim._ADAM_BLOCK + 3, dtype=np.float64, seed=2)  # a row per block
+    @example(rows=1, cols=1, dtype=np.float32, seed=3)
+    def test_bitwise_equal_to_textbook_on_zero_filled_gradient(self, rows, cols, dtype, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.normal(size=(rows, cols)).astype(dtype)
+        bias = rng.normal(size=rows).astype(dtype)
+        ref = {"p": (p.copy(), np.zeros(p.shape), np.zeros(p.shape)),
+               "bias": (bias.copy(), np.zeros(rows), np.zeros(rows))}
+        params = {"p": p, "bias": bias}
+        adam = Adam(alpha=0.01)
+        for t in range(1, 5):
+            # an empty set, then random ones; zeros in the block are +0 or -0
+            ids = np.flatnonzero(rng.random(cols) < (0.0 if t == 1 else rng.uniform(0.1, 1)))
+            block = rng.normal(size=(rows, ids.size)) * (rng.random((rows, ids.size)) < 0.8)
+            g_bias = rng.normal(size=rows)
+            adam.step(params, {"p": block, "bias": g_bias}, columns={"p": ids})
+            dense = np.zeros(p.shape)
+            dense[:, ids] = block
+            for name, g in (("p", dense), ("bias", g_bias)):
+                ref[name] = textbook_adam(*ref[name], g, t, alpha=0.01)
+                p_ref, m_ref, v_ref = ref[name]
+                assert params[name].dtype == p_ref.dtype
+                assert params[name].tobytes() == p_ref.tobytes(), name
+                assert adam._m[name].tobytes() == m_ref.tobytes(), name
+                assert adam._v[name].tobytes() == v_ref.tobytes(), name
+            if t == 2:
+                # m*b1 + (1-b1)*(+0) turns a -0 moment into +0, which the walk must keep
+                for moment in (adam._m["p"], adam._v["p"]):
+                    moment[rng.random(p.shape) < 0.5] = -0.0
+                ref["p"] = (ref["p"][0], adam._m["p"].copy(), adam._v["p"].copy())
+
+    @pytest.mark.parametrize("name, ids, match", [
+        ("x", [1, 1], "ascend"), ("x", [2, 1], "ascend"), ("x", [0, 4], "ascend"),
+        ("x", [-1, 1], "ascend"), ("x", [[0, 1]], "1-D integer"),
+        ("x", [0.0, 1.0], "1-D integer"), ("x", [0, 1, 2], "shape"),
+        ("ok", [0, 1], "2-D parameter"), ("y", [0, 1], "not stepped")])
+    def test_bad_columns_rejected_before_any_step(self, name, ids, match):
+        adam = Adam()
+        p = {"ok": np.zeros(2), "x": np.zeros((3, 4))}
+        with pytest.raises(ValueError, match=match):
+            adam.step(p, {"ok": np.ones(2), "x": np.ones((3, 2))}, columns={name: np.array(ids)})
+        assert p["ok"].tolist() == [0.0, 0.0] and not p["x"].any() and adam.step_count == 0
 
 
 def textbook_adam(p, m, v, g, t, alpha=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -417,8 +470,8 @@ class TestAggregatedTrain:
         m_vis = shared_init.copy()
         stepped_keys = []
         adam_step = Adam.step
-        monkeypatch.setattr(Adam, "step", lambda adam, params, grads: (
-            stepped_keys.append(sorted(params)), adam_step(adam, params, grads)))
+        monkeypatch.setattr(Adam, "step", lambda adam, params, grads, **kw: (
+            stepped_keys.append(sorted(params)), adam_step(adam, params, grads, **kw)))
         monkeypatch.setattr(nn, "backward_joint_batch", None)  # calling it would fail
         r_agg = aggregated_train(tr, va, m_agg, tiny_config(), text_weight=0.0)
         monkeypatch.undo()
@@ -497,8 +550,8 @@ def spy_adam_steps(monkeypatch) -> Counter:
     """Count Adam.step calls per (Adam instance, sorted parameter names)."""
     steps = Counter()
     adam_step = Adam.step
-    monkeypatch.setattr(Adam, "step", lambda adam, params, grads: (
-        steps.update([(adam, tuple(sorted(params)))]), adam_step(adam, params, grads)))
+    monkeypatch.setattr(Adam, "step", lambda adam, params, grads, **kw: (
+        steps.update([(adam, tuple(sorted(params)))]), adam_step(adam, params, grads, **kw)))
     return steps
 
 
