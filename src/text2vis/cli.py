@@ -134,16 +134,20 @@ def _load_model(path, vocab: textvec.Vocabulary) -> nn.Model:
     return model
 
 
+def _check_visual_dim(model: nn.Model, feature_dim: int) -> nn.Model:
+    """A checkpoint's model, checked against the features it ranks."""
+    if model.visual_dim != feature_dim:
+        raise ValueError(f"checkpoint visual dim {model.visual_dim} does not match "
+                         f"feature dim {feature_dim}")
+    return model
+
+
 def _split_fractions(cfg: dict) -> tuple[float, float, float]:
     """The (train, validation, test) fractions, checked before any input is read."""
     fractions = (1.0 - cfg["val_frac"] - cfg["test_frac"], cfg["val_frac"], cfg["test_frac"])
     if not fractions[0] > 0:
         raise ValueError("val-frac + test-frac leave no training data")
     return fractions
-
-
-def _split_for(cfg: dict, images: list[data.CaptionedImage]) -> data.DatasetSplit:
-    return data.split_dataset(images, _split_fractions(cfg), cfg["split_seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +208,13 @@ def cmd_train(args) -> int:
         sl_prob_visual=cfg["sl_prob_visual"], seed=cfg["seed"],
         learning_rate=cfg["learning_rate"])
     train_cfg.validate()
-    _split_fractions(cfg)
+    fractions = _split_fractions(cfg)
     trainers = {"sl": optim.sl_train, "visreg": optim.visreg_train,
                 "aggregated": partial(optim.aggregated_train, text_weight=cfg["lambda_text"])}
 
     vocab = textvec.Vocabulary.load(cfg["vocab"])
     images = _load_dataset(cfg)
-    split = _split_for(cfg, images)
+    split = data.split_dataset(images, fractions, cfg["split_seed"])
     if not split.train or not split.validation:
         raise ValueError("split leaves an empty train or validation set")
     train_set = optim.encode_dataset(split.train, vocab)
@@ -272,19 +276,21 @@ def _eval_methods(cfg: dict) -> tuple[list[str], dict[str, str]]:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
-    if cfg["split"] != "all":
-        _split_fractions(cfg)
+    fractions = None if cfg["split"] == "all" else _split_fractions(cfg)
     names, checkpoints = _eval_methods(cfg)
 
     vocab = textvec.Vocabulary.load(cfg["vocab"])
     images = _load_dataset(cfg)
-    collection = images if cfg["split"] == "all" else getattr(_split_for(cfg, images), cfg["split"])
+    collection = (images if fractions is None else
+                  getattr(data.split_dataset(images, fractions, cfg["split_seed"]), cfg["split"]))
     if not collection:
         raise ValueError(f"split {cfg['split']!r} is empty")
 
     p = cfg["p"]
+    feature_dim = collection[0].feature.size
     methods = evaluation.rank_functions(
-        names, collection, vocab, lambda name: _load_model(checkpoints[name], vocab),
+        names, collection, vocab,
+        lambda name: _check_visual_dim(_load_model(checkpoints[name], vocab), feature_dim),
         p=p, include_self=cfg["include_self"], seed=cfg["seed"])
     queries, captions_tokens = evaluation.collection_queries(collection)
     report = evaluation.evaluate(methods, queries, captions_tokens,
@@ -315,6 +321,7 @@ def cmd_search(args) -> int:
     vocab = textvec.Vocabulary.load(cfg["vocab"])
     model = _load_model(cfg["checkpoint"], vocab)
     ids, matrix = data.load_features(cfg["features"])
+    _check_visual_dim(model, matrix.shape[1])
     index = retrieval.build_index(ids, matrix)
 
     bow = vocab.encode_text(" ".join(args.query))
@@ -344,8 +351,11 @@ COMMANDS = {
         Flag("topics_max", 3), Flag("noise_sigma", 0.15))),
     "build-vocab": ("build a vocabulary from captions", (
         Flag("captions"), Flag("mode", textvec.MODE_UNIGRAM, textvec.MODES), Flag("out"),
-        Flag("min_freq_unigram", textvec.DEFAULT_MIN_CAPTION_FREQ_UNIGRAM),
-        Flag("min_freq_ngram", textvec.DEFAULT_MIN_CAPTION_FREQ_NGRAM))),
+        Flag("min_freq_unigram", textvec.DEFAULT_MIN_CAPTION_FREQ_UNIGRAM,
+             help="least number of captions a term appears in; read only with --mode unigram"),
+        Flag("min_freq_ngram", textvec.DEFAULT_MIN_CAPTION_FREQ_NGRAM,
+             help="least number of captions a unigram or n-gram appears in; "
+                  "read only with --mode ngram"))),
     "train": ("train a model", (
         *_DATASET, Flag("strategy", "sl", ("sl", "aggregated", "visreg")),
         Flag("lambda_text", 1.0, name="lambda",

@@ -81,8 +81,8 @@ def dcg(rels: Sequence[float], p: int = DEFAULT_RANK_CUTOFF) -> float:
     """Discounted cumulative gain: sum of (2^rel - 1)/log2(i + 1) up to rank p."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return sum((2.0 ** rel - 1.0) / math.log2(i + 1)
-               for i, rel in enumerate(rels[:p], start=1))
+    return sum(((2.0 ** rel - 1.0) / math.log2(i + 1)
+                for i, rel in enumerate(rels[:p], start=1)), 0.0)
 
 
 def rrank_ranking(ids: Sequence[int], rng: np.random.Generator, k: int) -> RankedList:
@@ -105,11 +105,10 @@ def vissim_ranking(index: VisualIndex, query_feature: np.ndarray,
 
 
 def predict_and_rank(model: nn.Model, bow: textvec.BowVector, index: VisualIndex,
-                     k: int, exclude_id: int | None = None) -> RankedList:
+                     k: int) -> RankedList:
     """Top-k of the index by distance to the model's visual prediction for bow;
     retrieval.query ranks a zero prediction with every candidate tied."""
-    return retrieval.query(index, nn.visual_predictions(model, [bow])[0], k,
-                           exclude_id=exclude_id)
+    return retrieval.query(index, nn.visual_predictions(model, [bow])[0], k)
 
 
 @dataclass(frozen=True)
@@ -157,16 +156,14 @@ class EvalReport:
                    for method, values in self.dcg_by_method.items()
                    for query_id, value in zip(self.query_ids, values)))
 
-    def write_diff_cdf_csvs(self, out_dir) -> list[str]:
-        """One `delta,cumulative_fraction` CSV per method pair; returns the paths."""
-        paths = []
+    def write_diff_cdf_csvs(self, out_dir) -> None:
+        """One `delta,cumulative_fraction` CSV per method pair, named
+        diff_cdf_<a>_vs_<b>.csv."""
         for method_a, method_b in combinations(self.methods, 2):
-            path = Path(out_dir) / f"diff_cdf_{method_a}_vs_{method_b}.csv"
-            write_csv(path, ["delta", "cumulative_fraction"],
+            write_csv(Path(out_dir) / f"diff_cdf_{method_a}_vs_{method_b}.csv",
+                      ["delta", "cumulative_fraction"],
                       ([repr(delta), repr(frac)]
                        for delta, frac in self.diff_cdf(method_a, method_b)))
-            paths.append(str(path))
-        return paths
 
 
 # A method's rank function: the ranking of each query, in query order.

@@ -182,12 +182,10 @@ def active_rows(inputs: np.ndarray) -> np.ndarray:
 
 
 def hidden_batch(model: Model, inputs: np.ndarray,
-                 active: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pre-activation, activation) of the hidden layer for a [vocab x batch] input
-    matrix.  Only the rows ``active`` (by default active_rows(inputs)) are
-    multiplied, and only their columns of w_hid are copied to float64."""
-    if active is None:
-        active = active_rows(inputs)
+    matrix.  Only the rows ``active``, active_rows(inputs), are multiplied, and
+    only their columns of w_hid are copied to float64."""
     pre = (np.take(model.w_hid, active, axis=1).astype(np.float64) @ inputs[active]
            + model.b_hid.astype(np.float64)[:, None])
     return pre, relu(pre)
@@ -210,7 +208,7 @@ def _head_output(model: Model, head: str, hidden: np.ndarray) -> np.ndarray:
 
 def forward_batch(model: Model, inputs: np.ndarray):
     """(hidden, text_recon, visual_pred) for a [vocab x batch] input matrix."""
-    _, hidden = hidden_batch(model, inputs)
+    _, hidden = hidden_batch(model, inputs, active_rows(inputs))
     text_recon = _head_output(model, "txt", hidden) if model.has_text_branch else None
     return hidden, text_recon, _head_output(model, "vis", hidden)
 
@@ -247,31 +245,26 @@ def _head_backward_batch(model: Model, head: str, pre1, hidden, inputs, targets,
                   f"w_{head}": delta_out @ hidden.T, f"b_{head}": delta_out.sum(axis=1)}
 
 
-def _backward_batch(model: Model, head: str, inputs, targets, active):
-    if active is None:
-        active = active_rows(inputs)
-    return _head_backward_batch(model, head, *hidden_batch(model, inputs, active),
+def backward_text_batch(model: Model, inputs: np.ndarray, targets: np.ndarray,
+                        active: np.ndarray):
+    """Mean text loss and mean per-example gradients for a batch.  The w_hid
+    gradient is the block of its columns ``active``, active_rows(inputs); see
+    _head_backward_batch."""
+    return _head_backward_batch(model, "txt", *hidden_batch(model, inputs, active),
                                 inputs, targets, active)
 
 
-def backward_text_batch(model: Model, inputs: np.ndarray, targets: np.ndarray,
-                        active: np.ndarray | None = None):
-    """Mean text loss and mean per-example gradients for a batch.  The w_hid
-    gradient is the block of its columns ``active``, by default
-    active_rows(inputs); see _head_backward_batch."""
-    return _backward_batch(model, "txt", inputs, targets, active)
-
-
 def backward_visual_batch(model: Model, inputs: np.ndarray, targets: np.ndarray,
-                          active: np.ndarray | None = None):
+                          active: np.ndarray):
     """Mean visual loss and mean per-example gradients for a batch, with the
     w_hid gradient as in backward_text_batch."""
-    return _backward_batch(model, "vis", inputs, targets, active)
+    return _head_backward_batch(model, "vis", *hidden_batch(model, inputs, active),
+                                inputs, targets, active)
 
 
 def backward_joint_batch(model: Model, inputs: np.ndarray, text_targets: np.ndarray,
                          visual_targets: np.ndarray, text_weight: float,
-                         active: np.ndarray | None = None):
+                         active: np.ndarray):
     """Gradients of visual_loss + text_weight * text_loss over all parameters,
     with the w_hid gradient as in backward_text_batch.
 
@@ -280,8 +273,6 @@ def backward_joint_batch(model: Model, inputs: np.ndarray, text_targets: np.ndar
     are added to the visual head's: the sum of the two heads' products, not
     one product of their summed deltas, which would round differently.
     """
-    if active is None:
-        active = active_rows(inputs)
     pre1, hidden = hidden_batch(model, inputs, active)
     loss_v, grads = _head_backward_batch(model, "vis", pre1, hidden, inputs, visual_targets,
                                          active)

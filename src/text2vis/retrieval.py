@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,9 +25,6 @@ class RankedList:
 
     def distances(self) -> list[float]:
         return [e.distance for e in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -134,7 +130,6 @@ def _g(n: float, u: float) -> float:
     return n * u / (1 - n * u) if n * u < 1 else math.inf
 
 
-@functools.lru_cache(maxsize=16)
 def _scan_margin(dim: int, dtype: np.dtype) -> float:
     """query's shortlist margin m(D, u_t) for rows of this dim and dtype."""
     info = np.finfo(dtype)

@@ -90,13 +90,16 @@ def test_c01_gradients_match_finite_differences():
         inputs = nn.bow_matrix([bow.on_indices], bow.dim)
         text_targets = nn.bow_matrix([text_target.on_indices], bow.dim)
         visual_targets = visual_target[:, None]
-        grads_t = dense_grads(nn.backward_text_batch(model, inputs, text_targets)[1], inputs)
-        worst = max(worst, _fd_check(
-            lambda: nn.backward_text_batch(model, inputs, text_targets)[0], model, grads_t))
-        grads_v = dense_grads(nn.backward_visual_batch(model, inputs, visual_targets)[1],
+        active = nn.active_rows(inputs)
+        grads_t = dense_grads(nn.backward_text_batch(model, inputs, text_targets, active)[1],
                               inputs)
         worst = max(worst, _fd_check(
-            lambda: nn.backward_visual_batch(model, inputs, visual_targets)[0], model,
+            lambda: nn.backward_text_batch(model, inputs, text_targets, active)[0], model,
+            grads_t))
+        grads_v = dense_grads(nn.backward_visual_batch(model, inputs, visual_targets, active)[1],
+                              inputs)
+        worst = max(worst, _fd_check(
+            lambda: nn.backward_visual_batch(model, inputs, visual_targets, active)[0], model,
             grads_v))
         checked += 1
     elapsed = time.perf_counter() - started

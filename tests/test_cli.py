@@ -217,6 +217,40 @@ class TestEval:
         assert code == 1
         assert "does not match checkpoint vocab dim" in capsys.readouterr().err
 
+    def test_checkpoint_visual_dim_mismatch_fails(self, workspace, tmp_path, capsys):
+        root, common = workspace
+        vocab = textvec.Vocabulary.load(root / "vocab.txt")
+        wrong = fresh_checkpoint(tmp_path / "wrong.t2vm", len(vocab), visual_dim=64)
+        code = main(["eval", *common, "--methods", "vissim,text2vis",
+                     "--checkpoint", f"text2vis={wrong}", "--val-frac", "0.2",
+                     "--test-frac", "0.2", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: checkpoint visual dim 64 does not match feature dim 16\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_empty_ranking_scores_float_zero(self, tmp_path):
+        # the one test image has no other candidate, so every ranking is empty
+        run_ok(["gen-synth", "--out", str(tmp_path / "ds"), "--images", "12", "--seed", "1"])
+        run_ok(["build-vocab", "--captions", str(tmp_path / "ds" / "captions.json"),
+                "--out", str(tmp_path / "vocab.txt"), "--min-freq-unigram", "1"])
+        vocab = textvec.Vocabulary.load(tmp_path / "vocab.txt")
+        model = fresh_checkpoint(tmp_path / "m.t2vm", len(vocab), visual_dim=64)
+        out = tmp_path / "ev"
+        run_ok(["eval", "--captions", str(tmp_path / "ds" / "captions.json"),
+                "--features", str(tmp_path / "ds" / "features.t2vf"),
+                "--vocab", str(tmp_path / "vocab.txt"), "--methods", "text2vis,vissim,rrank",
+                "--checkpoint", f"text2vis={model}", "--test-frac", "0.09",
+                "--val-frac", "0.1", "--out", str(out)])
+        with open(out / "per_query.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[1:] for r in rows] == [["text2vis", "0.0"], ["vissim", "0.0"],
+                                         ["rrank", "0.0"]]
+        cdfs = sorted(out.glob("diff_cdf_*.csv"))
+        assert len(cdfs) == 3
+        for path in cdfs:
+            assert path.read_text().splitlines()[1:] == ["0.0,1.0"]
+
     def test_oov_queries_on_fresh_model(self, workspace, tmp_path):
         root, common = workspace
         # none of the captions uses this term: every query is fully out-of-vocabulary
@@ -298,6 +332,17 @@ class TestSearch:
         assert captured.out == ""
         assert captured.err == (f"error: {features}: image id {2**63} does not fit in a "
                                 "signed 64-bit integer\n")
+
+    def test_checkpoint_visual_dim_mismatch_fails(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        vocab = textvec.Vocabulary.load(root / "vocab.txt")
+        wrong = fresh_checkpoint(tmp_path / "wrong.t2vm", len(vocab), visual_dim=64)
+        assert main(["search", "zzyzxq", "--checkpoint", str(wrong),
+                     "--vocab", str(root / "vocab.txt"),
+                     "--features", str(root / "ds" / "features.t2vf")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: checkpoint visual dim 64 does not match feature dim 16\n"
 
     def test_oov_query_on_fresh_model_ranks_by_id(self, workspace, tmp_path, capsys):
         root, _ = workspace

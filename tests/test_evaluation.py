@@ -255,19 +255,18 @@ class TestPredictAndRank:
 
     def test_nonzero_prediction_is_exact_query(self):
         model = one_hot_model()
-        got = predict_and_rank(model, BowVector(2, (0,)), self.idx, 3, exclude_id=20)
-        want = query(self.idx, nn.forward(model, BowVector(2, (0,))).visual_pred, 3,
-                     exclude_id=20)
+        got = predict_and_rank(model, BowVector(2, (0,)), self.idx, 3)
+        want = query(self.idx, nn.forward(model, BowVector(2, (0,))).visual_pred, 3)
         assert got == want
 
     def test_zero_prediction_ties_every_candidate(self):
         got = predict_and_rank(one_hot_model(), BowVector(2, ()), self.idx, 5)
         assert got.ids() == [10, 20, 30] and got.distances() == [1.0, 1.0, 1.0]
 
-    def test_zero_prediction_respects_exclusion_and_k(self):
-        got = predict_and_rank(one_hot_model(), BowVector(2, ()), self.idx, 1,
-                               exclude_id=10)
-        assert got.ids() == [20]
+    def test_zero_prediction_respects_k(self):
+        # exclusion from a zero query: tests/test_retrieval.py's zero-query test
+        got = predict_and_rank(one_hot_model(), BowVector(2, ()), self.idx, 1)
+        assert got.ids() == [10]
 
     def test_zero_prediction_rejects_k_below_one(self):
         with pytest.raises(ValueError, match="k must be"):
@@ -325,7 +324,7 @@ class TestRankFunctions:
 
 class TestBatchedModelRankings:
     """A model method predicts for all its queries in chunks of nn.BATCH_CHUNK;
-    each ranking must be that of predict_and_rank for the query alone."""
+    each ranking must be that of the query's own forward pass, ranked alone."""
 
     def setup_method(self):
         rng = np.random.default_rng(21)
@@ -354,9 +353,9 @@ class TestBatchedModelRankings:
             got = self.rankings(include_self)
             assert len(got) == len(self.queries)
             for q, img, ranking in zip(self.queries, self.collection, got):
-                want = predict_and_rank(self.model, self.vocab.encode_text(img.captions[0]),
-                                        self.index, 6,
-                                        None if include_self else q.image_id)
+                pred = nn.forward(self.model, self.vocab.encode_text(img.captions[0]))
+                want = query(self.index, pred.visual_pred, 6,
+                             exclude_id=None if include_self else q.image_id)
                 assert ranking.ids() == want.ids()
                 assert np.abs(np.subtract(ranking.distances(), want.distances())).max() <= 1e-12
 
@@ -396,8 +395,8 @@ class TestBatchedModelRankings:
         model = nn.init_model(len(vocab), 8, 12, seed=5)
         index = build_index([img.image_id for img in collection],
                             np.stack([img.feature for img in collection]))
-        want = [predict_and_rank(model, vocab.encode_text(img.captions[0]), index, 6,
-                                 img.image_id).ids() for img in collection]
+        want = [query(index, nn.forward(model, vocab.encode_text(img.captions[0])).visual_pred,
+                      6, exclude_id=img.image_id).ids() for img in collection]
         queries, _ = collection_queries(collection)
         methods = rank_functions(["text2vis", "visreg"], collection, vocab,
                                  lambda name: model, p=6)
@@ -457,7 +456,7 @@ class TestEvaluate:
         report = evaluate(methods, self.queries, self.captions, p=3)
         report.write_summary_csv(tmp_path / "summary.csv")
         report.write_per_query_csv(tmp_path / "per_query.csv")
-        paths = report.write_diff_cdf_csvs(tmp_path)
+        report.write_diff_cdf_csvs(tmp_path)
 
         with open(tmp_path / "summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -469,8 +468,8 @@ class TestEvaluate:
         assert rows[0] == ["query_id", "method", "dcg"]
         assert len(rows) == 3
 
-        assert len(paths) == 1 and paths[0].endswith("diff_cdf_a_vs_b.csv")
-        with open(paths[0], newline="") as fh:
+        assert sorted(p.name for p in tmp_path.glob("diff_cdf_*")) == ["diff_cdf_a_vs_b.csv"]
+        with open(tmp_path / "diff_cdf_a_vs_b.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["delta", "cumulative_fraction"]
         assert float(rows[-1][1]) == 1.0

@@ -237,7 +237,7 @@ class TestHiddenBatch:
 
     @staticmethod
     def assert_matches_dense(m, inputs):
-        pre, hidden = nn.hidden_batch(m, inputs)
+        pre, hidden = nn.hidden_batch(m, inputs, nn.active_rows(inputs))
         ref = m.w_hid.astype(np.float64) @ inputs + m.b_hid.astype(np.float64)[:, None]
         assert pre.shape == ref.shape and pre.tobytes() == ref.tobytes()
         assert hidden.tobytes() == relu(ref).tobytes()
@@ -297,28 +297,31 @@ class TestBackward:
         m = Model(w_hid=np.zeros((3, 4)), b_hid=np.zeros(3),
                   w_txt=np.zeros((4, 3)), b_txt=np.zeros(4),
                   w_vis=np.zeros((2, 3)), b_vis=np.zeros(2))
-        loss_t, grads_t = nn.backward_text_batch(m, one(BowVector(4, (0,))),
-                                                 one(BowVector(4, ())))
-        loss_v, grads_v = nn.backward_visual_batch(m, one(BowVector(4, (0,))),
-                                                   np.zeros((2, 1)))
+        inputs = one(BowVector(4, (0,)))
+        loss_t, grads_t = nn.backward_text_batch(m, inputs, one(BowVector(4, ())),
+                                                 nn.active_rows(inputs))
+        loss_v, grads_v = nn.backward_visual_batch(m, inputs, np.zeros((2, 1)),
+                                                   nn.active_rows(inputs))
         assert loss_t == 0.0 and loss_v == 0.0
         assert all(not g.any() for g in grads_t.values())
         assert all(not g.any() for g in grads_v.values())
 
     def test_text_gradient_scope(self):
-        _, grads = nn.backward_text_batch(toy_model(), one(BowVector(4, (1,))),
-                                          one(BowVector(4, (0, 2))))
+        inputs = one(BowVector(4, (1,)))
+        _, grads = nn.backward_text_batch(toy_model(), inputs, one(BowVector(4, (0, 2))),
+                                          nn.active_rows(inputs))
         assert sorted(grads) == ["b_hid", "b_txt", "w_hid", "w_txt"]
 
     def test_visual_gradient_scope(self):
-        _, grads = nn.backward_visual_batch(toy_model(), one(BowVector(4, (1,))),
-                                            np.ones((2, 1)))
+        inputs = one(BowVector(4, (1,)))
+        _, grads = nn.backward_visual_batch(toy_model(), inputs, np.ones((2, 1)),
+                                            nn.active_rows(inputs))
         assert sorted(grads) == ["b_hid", "b_vis", "w_hid", "w_vis"]
 
     def test_text_loss_is_mse_of_forward(self):
         m = toy_model()
         bow, target = BowVector(4, (0, 3)), BowVector(4, (1,))
-        loss, _ = nn.backward_text_batch(m, one(bow), one(target))
+        loss, _ = nn.backward_text_batch(m, one(bow), one(target), nn.active_rows(one(bow)))
         text_recon = nn.forward_batch(m, one(bow))[1]
         assert loss == pytest.approx(np.mean((text_recon - one(target)) ** 2), abs=1e-12)
 
@@ -327,9 +330,10 @@ class TestBackward:
         m = toy_model(rng, vocab=5, hidden=4, visual=3)
         inputs = one(BowVector(5, (0, 2, 4)))
         target = rng.uniform(0, 1, (3, 1))
-        analytic = dense_grads(nn.backward_visual_batch(m, inputs, target)[1], inputs)
-        numeric = {k: fd_gradient(lambda mm: nn.backward_visual_batch(mm, inputs, target)[0],
-                                  m, k)
+        active = nn.active_rows(inputs)
+        analytic = dense_grads(nn.backward_visual_batch(m, inputs, target, active)[1], inputs)
+        numeric = {k: fd_gradient(
+                       lambda mm: nn.backward_visual_batch(mm, inputs, target, active)[0], m, k)
                    for k in analytic}
         assert_grads_close(analytic, numeric)
 
@@ -337,9 +341,10 @@ class TestBackward:
         rng = np.random.default_rng(8)
         m = toy_model(rng, vocab=5, hidden=4, visual=3)
         inputs, target = one(BowVector(5, (1, 3))), one(BowVector(5, (0, 2)))
-        analytic = dense_grads(nn.backward_text_batch(m, inputs, target)[1], inputs)
-        numeric = {k: fd_gradient(lambda mm: nn.backward_text_batch(mm, inputs, target)[0],
-                                  m, k)
+        active = nn.active_rows(inputs)
+        analytic = dense_grads(nn.backward_text_batch(m, inputs, target, active)[1], inputs)
+        numeric = {k: fd_gradient(
+                       lambda mm: nn.backward_text_batch(mm, inputs, target, active)[0], m, k)
                    for k in analytic}
         assert_grads_close(analytic, numeric)
 
@@ -348,11 +353,11 @@ class TestBackward:
         for step in (1e-3, 1e-4):
             m = toy_model(rng)
             inputs, target = one(BowVector(4, (0, 1))), rng.uniform(0, 1, (2, 1))
-            before, grads = nn.backward_visual_batch(m, inputs, target)
+            before, grads = nn.backward_visual_batch(m, inputs, target, nn.active_rows(inputs))
             for key, g in dense_grads(grads, inputs).items():
                 p = m.params()[key]
                 p[...] = p - step * g
-            after, _ = nn.backward_visual_batch(m, inputs, target)
+            after, _ = nn.backward_visual_batch(m, inputs, target, nn.active_rows(inputs))
             assert after < before
 
     def test_batch_matches_mean_of_singles(self):
@@ -361,9 +366,9 @@ class TestBackward:
         bows = [BowVector(6, (0, 2)), BowVector(6, (1,)), BowVector(6, (3, 4, 5))]
         targets = rng.uniform(0, 1, (3, 3))
         inputs = nn.bow_matrix([b.on_indices for b in bows], 6)
-        loss_b, grads_b = nn.backward_visual_batch(m, inputs, targets.T)
+        loss_b, grads_b = nn.backward_visual_batch(m, inputs, targets.T, nn.active_rows(inputs))
         grads_b = dense_grads(grads_b, inputs)
-        singles = [nn.backward_visual_batch(m, one(b), t[:, None])
+        singles = [nn.backward_visual_batch(m, one(b), t[:, None], nn.active_rows(one(b)))
                    for b, t in zip(bows, targets)]
         assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), abs=1e-12)
         singles_grads = [dense_grads(s[1], one(b)) for s, b in zip(singles, bows)]
@@ -384,7 +389,7 @@ def blas_name() -> str:
 def dense_head_backward(model, head, inputs, targets):
     """One head's gradients by the dense formula: the w_hid gradient over every
     vocabulary column, ``delta_hid @ inputs.T``."""
-    pre1, hidden = nn.hidden_batch(model, inputs)
+    pre1, hidden = nn.hidden_batch(model, inputs, nn.active_rows(inputs))
     w = getattr(model, f"w_{head}").astype(np.float64)
     pre_out = w @ hidden + getattr(model, f"b_{head}").astype(np.float64)[:, None]
     diff = relu(pre_out) - targets
@@ -471,14 +476,16 @@ class TestWHidBlock:
 
     @staticmethod
     def check_all_passes(m, inputs, text_targets, visual_targets, text_weight):
-        assert_block_is_dense_columns(nn.backward_visual_batch(m, inputs, visual_targets)[1],
-                                      dense_head_backward(m, "vis", inputs, visual_targets),
-                                      inputs)
-        assert_block_is_dense_columns(nn.backward_text_batch(m, inputs, text_targets)[1],
-                                      dense_head_backward(m, "txt", inputs, text_targets),
-                                      inputs)
+        active = nn.active_rows(inputs)
         assert_block_is_dense_columns(
-            nn.backward_joint_batch(m, inputs, text_targets, visual_targets, text_weight)[2],
+            nn.backward_visual_batch(m, inputs, visual_targets, active)[1],
+            dense_head_backward(m, "vis", inputs, visual_targets), inputs)
+        assert_block_is_dense_columns(
+            nn.backward_text_batch(m, inputs, text_targets, active)[1],
+            dense_head_backward(m, "txt", inputs, text_targets), inputs)
+        assert_block_is_dense_columns(
+            nn.backward_joint_batch(m, inputs, text_targets, visual_targets, text_weight,
+                                    active)[2],
             dense_joint_backward(m, inputs, text_targets, visual_targets, text_weight),
             inputs)
 

@@ -120,7 +120,7 @@ class TestQuery:
 
     def test_k_larger_than_collection(self):
         idx = build_index([1, 2], np.array([[1.0, 0], [0, 1]]))
-        assert len(query(idx, np.array([1.0, 1.0]), k=10)) == 2
+        assert len(query(idx, np.array([1.0, 1.0]), k=10).ids()) == 2
 
     def test_dim_mismatch(self):
         idx = build_index([1], np.array([[1.0, 0]]))
@@ -362,7 +362,7 @@ class TestInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(got) == 10
+        assert len(got.ids()) == 10
         assert np.shares_memory(index.rows, rows) and index.rows.dtype == np.float32
         with pytest.raises(ValueError, match="read-only"):
             index.rows[0, 0] = 1.0

@@ -76,24 +76,25 @@ def _text2vis(argv: list[str], cwd: Path) -> str:
     return proc.stdout
 
 
-def run_pipeline(work: Path) -> None:
-    """Write every output of the command set under work."""
+def run_pipeline(work: Path, text2vis=_text2vis) -> None:
+    """Write every output of the command set under work; text2vis(argv, cwd)
+    runs one command and returns its stdout."""
     for argv in COMMANDS:
-        _text2vis(argv, work)
+        text2vis(argv, work)
     terms = (work / "vocab.txt").read_text(encoding="utf-8").split()
-    searches = [_text2vis(["search", terms[0], *_SEARCH, "--k", "10"], work),
-                _text2vis(["search", terms[0], terms[4], *_SEARCH, "--k", "5"], work)]
+    searches = [text2vis(["search", terms[0], *_SEARCH, "--k", "10"], work),
+                text2vis(["search", terms[0], terms[4], *_SEARCH, "--k", "5"], work)]
     (work / "search.txt").write_text("".join(searches), encoding="utf-8")
     # k at least the collection size, so every candidate takes the full formula.
     (work / "search_all.txt").write_text(
-        _text2vis(["search", terms[0], terms[4], *_SEARCH, "--k", "2000"], work),
+        text2vis(["search", terms[0], terms[4], *_SEARCH, "--k", "2000"], work),
         encoding="utf-8")
     # The first unigram and the first n-gram term of the ngram vocabulary.
     ngram_terms = (work / "vocab_ngram.txt").read_text(encoding="utf-8").split()
     first_unigram = next(t for t in ngram_terms if "_" not in t)
     first_ngram = next(t for t in ngram_terms if "_" in t)
     (work / "search_ngram.txt").write_text(
-        _text2vis(["search", first_unigram, first_ngram, *_SEARCH_NGRAM, "--k", "5"], work),
+        text2vis(["search", first_unigram, first_ngram, *_SEARCH_NGRAM, "--k", "5"], work),
         encoding="utf-8")
 
 
