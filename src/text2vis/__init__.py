@@ -15,8 +15,8 @@ from .data import (CaptionedImage, DatasetSplit, FormatError, SynthConfig,
                    load_captions, load_features, save_captions, save_features,
                    split_dataset)
 from .evaluation import (EvalReport, Query, collection_queries, dcg, evaluate,
-                         lcs_length, predict_and_rank, rank_functions, relevance,
-                         rouge_l, rrank_ranking, vissim_ranking)
+                         lcs_length, rank_methods, relevance, rouge_l, rrank_ranking,
+                         vissim_ranking)
 from .nn import (ForwardResult, Model, forward, init_model, load_checkpoint, relu,
                  save_checkpoint)
 from .optim import (Adam, EncodedDataset, TrainConfig, TrainHistory, TrainResult,

@@ -226,6 +226,9 @@ def cmd_train(args) -> int:
                           seed=cfg["seed"])
 
     out_dir = _echo_config("train", cfg)
+    checkpoint, history = out_dir / "checkpoint.t2vm", out_dir / "history.csv"
+    for path in (checkpoint, history):  # an earlier run's, which a failed run would leave
+        path.unlink(missing_ok=True)
 
     def progress(point: optim.HistoryPoint) -> None:
         t = "" if point.train_loss_t is None else f" train_t={point.train_loss_t:.5f}"
@@ -236,8 +239,8 @@ def cmd_train(args) -> int:
     result = trainers[cfg["strategy"]](train_set, val_set, model, train_cfg,
                                        progress=progress)
 
-    nn.save_checkpoint(result.model, out_dir / "checkpoint.t2vm")
-    result.history.to_csv(out_dir / "history.csv")
+    nn.save_checkpoint(result.model, checkpoint)
+    result.history.to_csv(history)
     print(f"{cfg['strategy']}: {result.iterations_run} iterations "
           f"({'stopped early' if result.stopped_early else 'budget exhausted'}), "
           f"best val_v={result.best_val_loss_v:.5f} at iteration {result.best_iteration}")
@@ -251,13 +254,16 @@ def cmd_train(args) -> int:
 
 def _eval_methods(cfg: dict) -> tuple[list[str], dict[str, str]]:
     """The --methods names and each --checkpoint NAME's path, checked against
-    evaluation.METHODS before any input is read.  Every NAME must be a selected
-    model method; the checkpoints are checked in sorted order, not flag order."""
+    evaluation.METHODS before any input is read.  A method may be named once.
+    Every NAME must be a selected model method; the checkpoints are checked in
+    sorted order, not flag order."""
     names = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
     given = sorted(item.partition("=") for item in cfg["checkpoint"] or [])
-    for name in names:
+    for i, name in enumerate(names):
         if name not in evaluation.METHODS:
             raise ValueError(f"unknown method {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"--methods names {name!r} twice")
         if name in evaluation.MODEL_METHODS and name not in {n for n, _, _ in given}:
             raise ValueError(f"method {name!r} requires --checkpoint {name}=PATH")
     if not names:
@@ -288,13 +294,12 @@ def cmd_eval(args) -> int:
 
     p = cfg["p"]
     feature_dim = collection[0].feature.size
-    methods = evaluation.rank_functions(
-        names, collection, vocab,
+    queries, captions_tokens = evaluation.collection_queries(collection)
+    rankings = evaluation.rank_methods(
+        names, collection, queries, vocab,
         lambda name: _check_visual_dim(_load_model(checkpoints[name], vocab), feature_dim),
         p=p, include_self=cfg["include_self"], seed=cfg["seed"])
-    queries, captions_tokens = evaluation.collection_queries(collection)
-    report = evaluation.evaluate(methods, queries, captions_tokens,
-                                 p=p, beta=cfg["beta"])
+    report = evaluation.evaluate(rankings, queries, captions_tokens, p=p, beta=cfg["beta"])
 
     out_dir = _echo_config("eval", cfg)
     report.write_summary_csv(out_dir / "summary.csv")
@@ -328,7 +333,7 @@ def cmd_search(args) -> int:
     if not bow.on_indices:
         print("warning: query is fully out-of-vocabulary; "
               "ranking from the bias-only representation", file=sys.stderr)
-    ranking = evaluation.predict_and_rank(model, bow, index, cfg["k"])
+    ranking = retrieval.query(index, nn.visual_predictions(model, [bow])[0], cfg["k"])
     for rank, entry in enumerate(ranking.entries, start=1):
         print(f"{rank:4d}. {entry.image_id}  distance={entry.distance:.6f}")
     return 0

@@ -109,7 +109,7 @@ class BinaryFormat:
         with atomic_write(path, "wb") as fh:
             fh.write(struct.pack("<4sI" + self.header, self.magic, self.version, *fields))
             for dtype, arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<" + dtype).tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype="<" + dtype))  # its buffer, no copy
 
     def read(self, path, layout) -> dict[str, np.ndarray]:
         """The arrays of a file written by `write`.  `layout(*fields)` maps the

@@ -1,12 +1,12 @@
-"""Retrieval evaluation: ROUGE-L caption relevance, DCG@p, the rank functions
-of the compared methods (model prediction, VisSim, RRank), and per-method
+"""Retrieval evaluation: ROUGE-L caption relevance, DCG@p, the rankings of
+the compared methods (model prediction, VisSim, RRank), and per-method
 comparison reports (means, win rates, difference CDFs)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -104,13 +104,6 @@ def vissim_ranking(index: VisualIndex, query_feature: np.ndarray,
     return retrieval.query(index, query_feature, k, exclude_id=query_image_id)
 
 
-def predict_and_rank(model: nn.Model, bow: textvec.BowVector, index: VisualIndex,
-                     k: int) -> RankedList:
-    """Top-k of the index by distance to the model's visual prediction for bow;
-    retrieval.query ranks a zero prediction with every candidate tied."""
-    return retrieval.query(index, nn.visual_predictions(model, [bow])[0], k)
-
-
 @dataclass(frozen=True)
 class Query:
     """One evaluation query: a tokenized caption and the image it describes."""
@@ -158,16 +151,18 @@ class EvalReport:
 
     def write_diff_cdf_csvs(self, out_dir) -> None:
         """One `delta,cumulative_fraction` CSV per method pair, named
-        diff_cdf_<a>_vs_<b>.csv."""
-        for method_a, method_b in combinations(self.methods, 2):
-            write_csv(Path(out_dir) / f"diff_cdf_{method_a}_vs_{method_b}.csv",
+        diff_cdf_<a>_vs_<b>.csv.  The file of any other pair of METHODS, which
+        an earlier report may have left in out_dir, is deleted first, so the
+        pair files name this report's methods only."""
+        out_dir, pairs = Path(out_dir), list(combinations(self.methods, 2))
+        for method_a, method_b in permutations(METHODS, 2):
+            if (method_a, method_b) not in pairs:
+                (out_dir / f"diff_cdf_{method_a}_vs_{method_b}.csv").unlink(missing_ok=True)
+        for method_a, method_b in pairs:
+            write_csv(out_dir / f"diff_cdf_{method_a}_vs_{method_b}.csv",
                       ["delta", "cumulative_fraction"],
                       ([repr(delta), repr(frac)]
                        for delta, frac in self.diff_cdf(method_a, method_b)))
-
-
-# A method's rank function: the ranking of each query, in query order.
-RankFn = Callable[[Sequence[Query]], list[RankedList]]
 
 
 def collection_queries(
@@ -181,91 +176,80 @@ def collection_queries(
     return queries, captions_tokens
 
 
-def rank_functions(names: Sequence[str], collection: Sequence[CaptionedImage],
-                   vocab: textvec.Vocabulary, load_model: Callable[[str], nn.Model],
-                   p: int = DEFAULT_RANK_CUTOFF, include_self: bool = False,
-                   seed: int = 0) -> dict[str, RankFn]:
-    """The rank function of each named method over the collection's features.
+def rank_methods(names: Sequence[str], collection: Sequence[CaptionedImage],
+                 queries: Sequence[Query], vocab: textvec.Vocabulary,
+                 load_model: Callable[[str], nn.Model], p: int = DEFAULT_RANK_CUTOFF,
+                 include_self: bool = False, seed: int = 0) -> dict[str, list[RankedList]]:
+    """Each named method's top-p ranking of every query over the collection's
+    features, in query order.
 
     text2vis and visreg rank by the prediction of the model that
-    load_model(name) returns, made for all the queries in one batched pass;
-    vissim by the query image's own feature; and rrank at random (seeded once
-    for all queries, drawn in query order).  Unless include_self, the query's
-    own image is left out of the candidates.
+    load_model(name) returns, made in batched passes; every model is loaded,
+    in names order, before anything is ranked, and each distinct query is
+    encoded once for all of them.  vissim ranks by the query image's own
+    feature, and rrank at random (seeded once, drawn in query order).  Unless
+    include_self, the query's own image is left out of the candidates.  A
+    repeated name is rejected, since a second rrank would draw again.
     """
+    for i, name in enumerate(names):
+        if name not in METHODS:
+            raise ValueError(f"unknown method {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"method {name!r} is named twice")
+    if not names:
+        raise ValueError("no methods selected")
+    models = {name: load_model(name) for name in names if name in MODEL_METHODS}
     index = retrieval.build_index([img.image_id for img in collection],
                                   np.stack([img.feature for img in collection]))
     feature_by_id = {img.image_id: img.feature for img in collection}
+    excluded = [None if include_self else q.image_id for q in queries]
+    bows = {tokens: vocab.encode_terms(textvec.caption_terms(tokens, vocab.mode))
+            for tokens in dict.fromkeys(q.tokens for q in queries)} if models else {}
     rng = np.random.default_rng(seed)
-
-    def excluded(q: Query) -> int | None:
-        return None if include_self else q.image_id
-
-    bows: dict[tuple, textvec.BowVector] = {}  # each query's tokens, encoded once for every model
-
-    def model_rank(model: nn.Model) -> RankFn:
-        def rank(queries: Sequence[Query]) -> list[RankedList]:
-            for q in queries:
-                if q.tokens not in bows:
-                    bows[q.tokens] = vocab.encode_terms(textvec.caption_terms(q.tokens, vocab.mode))
-            rankings = []
+    rankings: dict[str, list[RankedList]] = {}
+    for name in names:
+        ranked = rankings[name] = []
+        if name in models:
             for start in range(0, len(queries), nn.BATCH_CHUNK):
                 chunk = queries[start:start + nn.BATCH_CHUNK]
-                preds = nn.visual_predictions(model, [bows[q.tokens] for q in chunk])
-                rankings += [retrieval.query(index, pred, p, exclude_id=excluded(q))
-                             for pred, q in zip(preds, chunk)]
-            return rankings
-        return rank
-
-    def vissim(queries: Sequence[Query]) -> list[RankedList]:
-        return [vissim_ranking(index, feature_by_id[q.image_id], excluded(q), p)
-                for q in queries]
-
-    def rrank(queries: Sequence[Query]) -> list[RankedList]:
-        rankings = []
-        for q in queries:
-            ids = index.ids if include_self else index.ids[index.ids != q.image_id]
-            rankings.append(rrank_ranking(ids, rng, min(p, len(ids))))
-        return rankings
-
-    baselines = {"vissim": vissim, "rrank": rrank}
-    methods: dict[str, RankFn] = {}
-    for name in names:
-        if name not in METHODS:
-            raise ValueError(f"unknown method {name!r}")
-        methods[name] = model_rank(load_model(name)) if name in MODEL_METHODS else baselines[name]
-    if not methods:
-        raise ValueError("no methods selected")
-    return methods
+                preds = nn.visual_predictions(models[name], [bows[q.tokens] for q in chunk])
+                ranked += [retrieval.query(index, pred, p, exclude_id=exclude)
+                           for pred, exclude in zip(preds, excluded[start:])]
+        elif name == "vissim":
+            ranked += [vissim_ranking(index, feature_by_id[q.image_id], exclude, p)
+                       for q, exclude in zip(queries, excluded)]
+        else:  # rrank
+            for q in queries:
+                ids = index.ids if include_self else index.ids[index.ids != q.image_id]
+                ranked.append(rrank_ranking(ids, rng, min(p, len(ids))))
+    return rankings
 
 
-def evaluate(methods: dict[str, RankFn], queries: Sequence[Query],
+def evaluate(rankings: dict[str, Sequence[RankedList]], queries: Sequence[Query],
              captions_tokens: dict[int, list[tuple[str, ...]]],
              p: int = DEFAULT_RANK_CUTOFF, beta: float = DEFAULT_ROUGE_BETA) -> EvalReport:
-    """Score every method on every query with DCG@p under ROUGE-L relevance.
+    """Score each method's rankings with DCG@p under ROUGE-L relevance.
 
+    rankings maps each method to its ranking of every query, in query order,
+    as rank_methods gives them; only the top p ids of each are scored.
     captions_tokens maps each retrievable image id to its tokenized captions.
-    Each method is asked for all of its rankings at once, and only the top p
-    ids of each are kept.  All methods must rank the same collection, so
-    per-query relevance scores are cached and shared across methods.
+    All methods must rank the same collection, so per-query relevance scores
+    are cached and shared across methods.
     """
-    if not methods:
+    if not rankings:
         raise ValueError("no methods to evaluate")
     if not queries:
         raise ValueError("no queries to evaluate")
-    ranked_ids: dict[str, list[list[int]]] = {}
-    for name, rank_fn in methods.items():
-        rankings = rank_fn(queries)
-        if len(rankings) != len(queries):
-            raise ValueError(f"method {name!r} gave {len(rankings)} rankings "
+    for name, ranked in rankings.items():
+        if len(ranked) != len(queries):
+            raise ValueError(f"method {name!r} gave {len(ranked)} rankings "
                              f"for {len(queries)} queries")
-        ranked_ids[name] = [ranking.ids()[:p] for ranking in rankings]
-    dcg_by_method: dict[str, list[float]] = {name: [] for name in methods}
+    dcg_by_method: dict[str, list[float]] = {name: [] for name in rankings}
     for i, q in enumerate(queries):
         rel_cache: dict[int, float] = {}
-        for name, ids in ranked_ids.items():
+        for name, ranked in rankings.items():
             rels = []
-            for image_id in ids[i]:
+            for image_id in ranked[i].ids()[:p]:
                 rel = rel_cache.get(image_id)
                 if rel is None:
                     try:

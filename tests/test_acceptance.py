@@ -243,9 +243,9 @@ def test_c06_synthetic_ordering(training_runs, synth_splits, synth_vocab):
     run = training_runs[("sl", 0)]
     test = synth_splits.test
     queries, toks = evaluation.collection_queries(test)
-    methods = evaluation.rank_functions(["text2vis", "vissim", "rrank"], test,
-                                        synth_vocab, lambda name: run.model, p=25, seed=0)
-    report = evaluation.evaluate(methods, queries, toks, p=25)
+    rankings = evaluation.rank_methods(["text2vis", "vissim", "rrank"], test, queries,
+                                       synth_vocab, lambda name: run.model, p=25, seed=0)
+    report = evaluation.evaluate(rankings, queries, toks, p=25)
     win_vs_rrank = report.win_rate("text2vis", "rrank")
     means = {m: report.mean_dcg(m) for m in report.methods}
     ok = (run.iterations_run <= 30_000 and run.wall_seconds < 600

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from text2vis import cli, data, evaluation, nn, textvec
+from text2vis import cli, data, evaluation, nn, retrieval, textvec
 from text2vis.cli import main
 
 
@@ -144,6 +144,20 @@ class TestTrain:
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes(), name
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging run's overflow
+    def test_reused_out_drops_the_earlier_outputs(self, workspace, tmp_path, capsys):
+        root, common = workspace
+        out = tmp_path / "run"
+        argv = ["train", *common, "--strategy", "visreg", "--hidden", "16",
+                "--max-iters", "40", "--eval-every", "20", "--out", str(out)]
+        run_ok(argv)
+        assert (out / "checkpoint.t2vm").exists() and (out / "history.csv").exists()
+        assert main(argv + ["--learning-rate", "1e200"]) == 1
+        assert "visual loss is nan" in capsys.readouterr().err
+        # no checkpoint or history of the first run beside the second's config
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+        assert json.loads((out / "config.json").read_text())["learning_rate"] == 1e200
+
     def test_unknown_strategy_fails(self, workspace, tmp_path, capsys):
         root, common = workspace
         assert main(["train", *common, "--strategy", "sgd",
@@ -175,6 +189,16 @@ class TestEval:
         assert rows["text2vis"] > rows["rrank"]
         assert (out / "per_query.csv").exists()
         assert len(list(out.glob("diff_cdf_*_vs_*.csv"))) == 6
+
+    def test_reused_out_drops_the_earlier_diff_cdfs(self, workspace, tmp_path):
+        root, common = workspace
+        out = tmp_path / "ev"
+        args = ["eval", *common, "--val-frac", "0.2", "--test-frac", "0.2", "--out", str(out)]
+        run_ok(args + ["--methods", "vissim,rrank,text2vis",
+                       "--checkpoint", f"text2vis={root / 'run_sl' / 'checkpoint.t2vm'}"])
+        assert len(list(out.glob("diff_cdf_*.csv"))) == 3
+        run_ok(args + ["--methods", "vissim,rrank"])
+        assert [p.name for p in out.glob("diff_cdf_*.csv")] == ["diff_cdf_vissim_vs_rrank.csv"]
 
     def test_default_p_is_25(self, workspace, tmp_path):
         root, common = workspace
@@ -287,6 +311,21 @@ class TestSearch:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1 and out[0].lstrip().startswith("1.")
         assert "distance=" in out[0]
+
+    def test_ranks_by_the_single_example_prediction(self, workspace, capsys):
+        root, _ = workspace
+        checkpoint = root / "run_sl" / "checkpoint.t2vm"
+        text = data.load_captions(root / "ds" / "captions.json")[0][1][0]
+        run_ok(["search", *text.split(), "--checkpoint", str(checkpoint),
+                "--vocab", str(root / "vocab.txt"),
+                "--features", str(root / "ds" / "features.t2vf"), "--k", "5"])
+        vocab = textvec.Vocabulary.load(root / "vocab.txt")
+        pred = nn.forward(nn.load_checkpoint(checkpoint), vocab.encode_text(text)).visual_pred
+        index = retrieval.build_index(*data.load_features(root / "ds" / "features.t2vf"))
+        want = retrieval.query(index, pred, 5)
+        assert capsys.readouterr().out.splitlines() == [
+            f"{rank:4d}. {entry.image_id}  distance={entry.distance:.6f}"
+            for rank, entry in enumerate(want.entries, start=1)]
 
     def test_repeatable(self, workspace, capsys):
         root, _ = workspace
@@ -403,6 +442,7 @@ class TestValueRanges:
         ("eval", ["--methods", "foo"], "unknown method 'foo'"),
         ("eval", ["--methods", " , "], "no methods selected"),
         ("eval", ["--methods", "visreg"], "method 'visreg' requires --checkpoint visreg=PATH"),
+        ("eval", ["--methods", "vissim,vissim,rrank"], "--methods names 'vissim' twice"),
         ("eval", ["--checkpoint", "text2vis=other.t2vm"],
          "--checkpoint gives method 'text2vis' two checkpoints"),
         ("eval", ["--methods", "vissim", "--checkpoint", "bogus=x"],

@@ -9,10 +9,10 @@ from hypothesis import given, strategies as st
 from text2vis import evaluation, nn, textvec
 from text2vis.data import CaptionedImage
 from text2vis.evaluation import (EvalReport, Query, collection_queries, dcg, evaluate,
-                                 lcs_length, predict_and_rank, rank_functions,
-                                 relevance, rouge_l, rrank_ranking, vissim_ranking)
+                                 lcs_length, rank_methods, relevance, rouge_l,
+                                 rrank_ranking, vissim_ranking)
 from text2vis.retrieval import build_index, query
-from text2vis.textvec import BowVector, Vocabulary
+from text2vis.textvec import Vocabulary
 
 
 class TestLcs:
@@ -249,41 +249,18 @@ def one_hot_model(vocab=2, visual=2):
                     w_vis=eye.T.copy(), b_vis=np.zeros(visual))
 
 
-class TestPredictAndRank:
-    def setup_method(self):
-        self.idx = build_index([30, 10, 20], np.array([[0.0, 1], [1, 0], [1, 1]]))
-
-    def test_nonzero_prediction_is_exact_query(self):
-        model = one_hot_model()
-        got = predict_and_rank(model, BowVector(2, (0,)), self.idx, 3)
-        want = query(self.idx, nn.forward(model, BowVector(2, (0,))).visual_pred, 3)
-        assert got == want
-
-    def test_zero_prediction_ties_every_candidate(self):
-        got = predict_and_rank(one_hot_model(), BowVector(2, ()), self.idx, 5)
-        assert got.ids() == [10, 20, 30] and got.distances() == [1.0, 1.0, 1.0]
-
-    def test_zero_prediction_respects_k(self):
-        # exclusion from a zero query: tests/test_retrieval.py's zero-query test
-        got = predict_and_rank(one_hot_model(), BowVector(2, ()), self.idx, 1)
-        assert got.ids() == [10]
-
-    def test_zero_prediction_rejects_k_below_one(self):
-        with pytest.raises(ValueError, match="k must be"):
-            predict_and_rank(one_hot_model(), BowVector(2, ()), self.idx, 0)
-
-
-class TestRankFunctions:
+class TestRankMethods:
     def setup_method(self):
         self.collection = [
             CaptionedImage(1, ["a red bus", "a bus"], np.array([1.0, 0.0])),
             CaptionedImage(2, ["a blue car"], np.array([0.9, 0.1])),
             CaptionedImage(3, ["green car"], np.array([0.0, 1.0]))]
         self.vocab = Vocabulary(["bus", "car"], "unigram")
+        self.queries, _ = collection_queries(self.collection)
 
     def rank(self, names, **kw):
-        return rank_functions(names, self.collection, self.vocab,
-                              lambda name: one_hot_model(), p=3, **kw)
+        return rank_methods(names, self.collection, self.queries, self.vocab,
+                            lambda name: one_hot_model(), p=3, **kw)
 
     def test_queries_are_first_captions(self):
         queries, toks = collection_queries(self.collection)
@@ -297,29 +274,49 @@ class TestRankFunctions:
 
     def test_model_method_gets_its_own_model(self):
         asked = []
-        rank_functions(["visreg", "text2vis"], self.collection, self.vocab,
-                       lambda name: asked.append(name) or one_hot_model())
+        rank_methods(["visreg", "text2vis"], self.collection, self.queries, self.vocab,
+                     lambda name: asked.append(name) or one_hot_model())
         assert asked == ["visreg", "text2vis"]
 
+    def test_every_model_loads_before_any_ranking(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("ranked before every model was loaded")
+
+        def load(name):
+            if name == "visreg":
+                raise ValueError("bad checkpoint")
+            return one_hot_model()
+
+        monkeypatch.setattr(evaluation, "rrank_ranking", refuse)
+        monkeypatch.setattr(evaluation.retrieval, "query", refuse)
+        with pytest.raises(ValueError, match="bad checkpoint"):
+            rank_methods(["vissim", "rrank", "text2vis", "visreg"], self.collection,
+                         self.queries, self.vocab, load)
+
     def test_self_excluded_unless_included(self):
-        queries, _ = collection_queries(self.collection)
         for include_self in (False, True):
-            for name, fn in self.rank(["text2vis", "vissim", "rrank"],
-                                      include_self=include_self).items():
-                ids = fn(queries[:1])[0].ids()
+            for name, rankings in self.rank(["text2vis", "vissim", "rrank"],
+                                            include_self=include_self).items():
+                ids = rankings[0].ids()
                 assert (1 in ids) == include_self, name
                 assert len(ids) == 3 - (not include_self), name
 
     def test_vissim_ranks_by_own_feature(self):
-        queries, _ = collection_queries(self.collection)
         vissim = self.rank(["vissim"], include_self=True)["vissim"]
-        assert vissim(queries[:1])[0].ids() == [1, 2, 3]
+        assert vissim[0].ids() == [1, 2, 3]
 
     def test_unknown_and_empty_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             self.rank(["vissim", "bogus"])
         with pytest.raises(ValueError, match="no methods"):
             self.rank([])
+
+    def test_repeated_name_rejected(self):
+        loaded = []
+        with pytest.raises(ValueError, match="method 'rrank' is named twice"):
+            rank_methods(["text2vis", "rrank", "vissim", "rrank"], self.collection,
+                         self.queries, self.vocab, lambda name: loaded.append(name))
+        assert loaded == []
 
 
 class TestBatchedModelRankings:
@@ -342,9 +339,9 @@ class TestBatchedModelRankings:
                                  np.stack([img.feature for img in self.collection]))
 
     def rankings(self, include_self=False):
-        return rank_functions(["text2vis"], self.collection, self.vocab,
-                              lambda name: self.model, p=6,
-                              include_self=include_self)["text2vis"](self.queries)
+        return rank_methods(["text2vis"], self.collection, self.queries, self.vocab,
+                            lambda name: self.model, p=6,
+                            include_self=include_self)["text2vis"]
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 512])
     def test_chunking_keeps_every_ranking(self, monkeypatch, chunk):
@@ -372,9 +369,8 @@ class TestBatchedModelRankings:
         monkeypatch.setattr(Vocabulary, "encode_terms",
                             lambda vocab, terms: encoded.append(tuple(terms)) or
                             encode(vocab, terms))
-        methods = rank_functions(["text2vis", "visreg"], self.collection, self.vocab,
-                                 lambda name: self.model, p=6)
-        got = {name: fn(self.queries) for name, fn in methods.items()}
+        got = rank_methods(["text2vis", "visreg"], self.collection, self.queries,
+                           self.vocab, lambda name: self.model, p=6)
         assert sorted(encoded) == sorted(q.tokens for q in self.queries)
         assert [r.ids() for r in got["text2vis"]] == [r.ids() for r in got["visreg"]]
 
@@ -398,8 +394,6 @@ class TestBatchedModelRankings:
         want = [query(index, nn.forward(model, vocab.encode_text(img.captions[0])).visual_pred,
                       6, exclude_id=img.image_id).ids() for img in collection]
         queries, _ = collection_queries(collection)
-        methods = rank_functions(["text2vis", "visreg"], collection, vocab,
-                                 lambda name: model, p=6)
 
         def refuse(*args):
             raise AssertionError("query caption tokenized again")
@@ -409,18 +403,15 @@ class TestBatchedModelRankings:
         monkeypatch.setattr(textvec, "tokenize", refuse)
         monkeypatch.setattr(textvec, "pos_tag", lambda tokens: tagged.append(tuple(tokens))
                             or pos_tag(tokens))
-        assert [r.ids() for r in methods["text2vis"](queries)] == want
+        got = rank_methods(["text2vis", "visreg"], collection, queries, vocab,
+                           lambda name: model, p=6)
+        assert [r.ids() for r in got["text2vis"]] == want
+        assert [r.ids() for r in got["visreg"]] == want
         assert sorted(tagged) == sorted({q.tokens for q in queries})
-        monkeypatch.setattr(textvec, "pos_tag", refuse)
-        assert [r.ids() for r in methods["visreg"](queries)] == want
 
     def test_rankings_count_must_match_queries(self):
         with pytest.raises(ValueError, match="gave 0 rankings for 1 queries"):
-            evaluate({"m": lambda queries: []}, self.queries[:1], {})
-
-
-def constant_method(ranking):
-    return lambda queries: [ranking] * len(queries)
+            evaluate({"m": []}, self.queries[:1], {})
 
 
 class TestEvaluate:
@@ -431,15 +422,13 @@ class TestEvaluate:
         self.ranking = query(idx, np.array([1.0, 0.0, 0.0]), k=3)
 
     def test_single_method_single_query(self):
-        report = evaluate({"m": constant_method(self.ranking)}, self.queries,
-                          self.captions, p=3)
+        report = evaluate({"m": [self.ranking]}, self.queries, self.captions, p=3)
         rels = [relevance(("a", "dog"), self.captions[i]) for i in self.ranking.ids()]
         assert report.dcg_by_method["m"] == [pytest.approx(dcg(rels, 3))]
         assert report.mean_dcg("m") == pytest.approx(dcg(rels, 3))
 
     def test_identical_methods_tie_at_half(self):
-        methods = {"a": constant_method(self.ranking),
-                   "b": constant_method(self.ranking)}
+        methods = {"a": [self.ranking], "b": [self.ranking]}
         report = evaluate(methods, self.queries, self.captions, p=3)
         assert report.win_rate("a", "b") == 0.5
         assert report.win_rate("a", "b") + report.win_rate("b", "a") == 1.0
@@ -448,11 +437,10 @@ class TestEvaluate:
         from text2vis.retrieval import RankedList, RankEntry
         bad = RankedList([RankEntry(99, 0.0)])
         with pytest.raises(ValueError, match="99"):
-            evaluate({"m": constant_method(bad)}, self.queries, self.captions, p=1)
+            evaluate({"m": [bad]}, self.queries, self.captions, p=1)
 
     def test_csv_outputs(self, tmp_path):
-        methods = {"a": constant_method(self.ranking),
-                   "b": constant_method(self.ranking)}
+        methods = {"a": [self.ranking], "b": [self.ranking]}
         report = evaluate(methods, self.queries, self.captions, p=3)
         report.write_summary_csv(tmp_path / "summary.csv")
         report.write_per_query_csv(tmp_path / "per_query.csv")
@@ -487,7 +475,7 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate({}, self.queries, self.captions)
         with pytest.raises(ValueError):
-            evaluate({"m": constant_method(self.ranking)}, [], self.captions)
+            evaluate({"m": []}, [], self.captions)
 
 
 class TestRelevanceCallContract:
@@ -504,7 +492,7 @@ class TestRelevanceCallContract:
 
         def fixed(seed, k):
             r = np.random.default_rng(seed)
-            return lambda qs: [rrank_ranking(ids, r, k) for _ in qs]
+            return [rrank_ranking(ids, r, k) for _ in queries]
 
         def methods():
             return {"a": fixed(1, 7), "b": fixed(2, 9), "c": fixed(1, 7)}
@@ -523,8 +511,8 @@ class TestRelevanceCallContract:
         got = evaluate(methods(), queries, captions, p=8)
         assert got.dcg_by_method == want.dcg_by_method
         assert got.query_ids == want.query_ids
-        distinct = {(q.image_id, image_id) for fn in methods().values()
-                    for q, ranking in zip(queries, fn(queries))
+        distinct = {(q.image_id, image_id) for rankings in methods().values()
+                    for q, ranking in zip(queries, rankings)
                     for image_id in ranking.ids()[:8]}
         assert calls
         assert sorted(calls) == sorted(distinct)
@@ -539,9 +527,7 @@ class TestRRankEstimatesCorpusPrior:
         ids = np.arange(120)
         queries = [Query(int(i), captions[int(i)][0]) for i in ids]
 
-        def rrank(qs):
-            return [rrank_ranking(ids[ids != q.image_id], rng, k=25) for q in qs]
-
+        rrank = [rrank_ranking(ids[ids != q.image_id], rng, k=25) for q in queries]
         report = evaluate({"rrank": rrank}, queries, captions, p=25)
         values = report.dcg_by_method["rrank"]
         first, second = np.mean(values[:60]), np.mean(values[60:])
