@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -114,13 +115,20 @@ class BinaryFormat:
     def read(self, path, layout) -> dict[str, np.ndarray]:
         """The arrays of a file written by `write`.  `layout(*fields)` maps the
         header fields to {name: (dtype, shape)} of the arrays in file order.
-        Every array must be non-empty and the file length exact.  The file is
-        read once, into one buffer, and the arrays come back as writable views
-        of it, so a load holds one copy of the file."""
-        with open(path, "rb") as fh:
-            blob = bytearray(os.fstat(fh.fileno()).st_size)
-            del blob[fh.readinto(blob):]  # a file that shrank meanwhile fails the length check
+        Every array must be non-empty and the file length exact.
+
+        The file is not copied: it is mapped whole, private and copy-on-write,
+        and the arrays come back as writable views of the mapping.  A page is
+        read when first touched, and a write to an array copies only its page
+        and never reaches the file.  The mapping holds one file descriptor
+        until the last array of the load is gone.  A file truncated in place
+        while it is mapped ends the process with SIGBUS on the next touch of a
+        lost page; `write` replaces a file by rename, which a mapping survives
+        with the old contents."""
         head = struct.Struct("<4sI" + self.header)
+        with open(path, "rb") as fh:  # an empty file cannot be mapped, nor holds a header
+            blob = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+                    if os.fstat(fh.fileno()).st_size else b"")
         if len(blob) < head.size:
             raise FormatError(f"{path}: truncated header")
         magic, version, *fields = head.unpack_from(blob)

@@ -325,6 +325,7 @@ def pick_captions(n_captions: np.ndarray,
     return in_pick, out_pick
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the loop reports divergence itself
 def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
                   config: TrainConfig, choose, text_weight: float = 1.0,
                   progress=None) -> TrainResult:
@@ -338,7 +339,9 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
     Each loss has its own Adam, made on its first step over the arrays its
     gradients name, and steps only once every loss it computed is finite.
     Multiples of eval_every and the budget's end are eval points, and the
-    result is read off the last one.
+    result is read off the last one.  A non-finite loss, of a step or of a
+    split at an eval point, raises TrainingDiverged naming it and the
+    iteration; numpy's overflow and invalid-value warnings are silenced.
     """
     config.validate()
     if train.size == 0 or val.size == 0:
@@ -387,6 +390,12 @@ def _run_training(train: EncodedDataset, val: EncodedDataset, model: Model,
         if iteration % config.eval_every == 0 or iteration == config.max_iterations:
             tr_t, tr_v = _split_losses(model, train)
             va_t, va_v = _split_losses(model, val)
+            for split, branch, loss in (("train", "text", tr_t), ("train", "visual", tr_v),
+                                        ("validation", "text", va_t),
+                                        ("validation", "visual", va_v)):
+                if loss is not None and not np.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"{split} {branch} loss is {loss} at iteration {iteration}")
             history.points.append(HistoryPoint(iteration, tr_t, tr_v, va_t, va_v))
             stop, best_iteration = early_stop_check(history, config.patience)
             if best_iteration == iteration:

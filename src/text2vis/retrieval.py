@@ -110,16 +110,19 @@ def build_index(ids, vectors) -> VisualIndex:
     step = max(1, _BUILD_BLOCK // max(1, mat.shape[1]))
     scratch = np.empty((min(step, len(mat)), mat.shape[1]))
     low, high = _SCAN_NORMS[mat.dtype]
-    safe = True
     for start in range(0, len(mat), step):
         block = scratch[:len(mat) - start]
         block[...] = mat[start:start + step]
-        block_norms = norms[start:start + step]
-        block_norms[...] = np.linalg.norm(block, axis=1)
-        safe &= bool(((block_norms >= low) & (block_norms <= high)).all())
-        if not safe:  # a zero, nan or infinite norm is outside the safe range too
+        np.multiply(block, block, out=block)
+        np.add.reduce(block, axis=1, out=norms[start:start + step])
+    np.sqrt(norms, out=norms)
+    safe = bool(((norms >= low) & (norms <= high)).all())
+    if not safe:  # a zero, nan or infinite norm is outside the safe range too
+        for start in range(0, len(mat), step):
+            block = mat[start:start + step]
             nonfinite = ~np.isfinite(block).all(axis=1)  # a finite row's norm can overflow
-            for bad, what in ((block_norms == 0, "zero"), (nonfinite, "non-finite")):
+            for bad, what in ((norms[start:start + step] == 0, "zero"),
+                              (nonfinite, "non-finite")):
                 if bad.any():
                     raise ValueError(f"{what} vector for image id {id_arr[start + bad.argmax()]}")
     return VisualIndex(ids=id_arr, rows=rows, norms=norms, safe_norms=safe)

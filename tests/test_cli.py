@@ -144,7 +144,6 @@ class TestTrain:
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes(), name
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging run's overflow
     def test_reused_out_drops_the_earlier_outputs(self, workspace, tmp_path, capsys):
         root, common = workspace
         out = tmp_path / "run"
@@ -157,6 +156,18 @@ class TestTrain:
         # no checkpoint or history of the first run beside the second's config
         assert [p.name for p in out.iterdir()] == ["config.json"]
         assert json.loads((out / "config.json").read_text())["learning_rate"] == 1e200
+
+    @pytest.mark.parametrize("budget, message", [
+        (["--max-iters", "1", "--eval-every", "1"], "train visual loss is nan at iteration 1"),
+        (["--max-iters", "40", "--eval-every", "20"], "visual loss is nan at iteration 2")])
+    def test_divergence_exits_1_with_one_error_line(self, workspace, tmp_path, capsys,
+                                                    budget, message):
+        root, common = workspace
+        out = tmp_path / "run"
+        assert main(["train", *common, "--strategy", "visreg", "--hidden", "16", *budget,
+                     "--learning-rate", "1e200", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in out.iterdir()] == ["config.json"]
 
     def test_unknown_strategy_fails(self, workspace, tmp_path, capsys):
         root, common = workspace

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -332,3 +334,38 @@ class TestFeatureLoadHoldsOneCopy:
         with pytest.raises(FormatError) as err:
             load_features(path)
         assert str(err.value) == f"{path}: truncated, size mismatch: 60 bytes, expected 64"
+
+    def test_a_write_to_a_loaded_array_never_reaches_the_file(self, tmp_path):
+        path = tmp_path / "f.t2vf"
+        save_features(path, [1, 2], np.ones((2, 3), dtype=np.float32))
+        raw = path.read_bytes()
+        _, loaded = load_features(path)
+        loaded[...] = 7.0
+        assert path.read_bytes() == raw
+        assert (load_features(path)[1] == 1.0).all() and (loaded == 7.0).all()
+
+    def test_a_save_over_the_path_leaves_loaded_arrays_unchanged(self, tmp_path):
+        path = tmp_path / "f.t2vf"
+        save_features(path, [1, 2], np.ones((2, 3), dtype=np.float32))
+        _, loaded = load_features(path)
+        save_features(path, [5, 6, 7], np.full((3, 4), 2.0, dtype=np.float32))
+        assert loaded.shape == (2, 3) and (loaded == 1.0).all()
+        assert load_features(path)[0] == [5, 6, 7]
+
+    def test_empty_file_is_a_truncated_header(self, tmp_path):
+        path = tmp_path / "f.t2vf"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError) as err:
+            load_features(path)
+        assert str(err.value) == f"{path}: truncated header"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+    def test_dropping_the_arrays_releases_the_file_descriptor(self, tmp_path):
+        path = tmp_path / "f.t2vf"
+        save_features(path, [1, 2], np.ones((2, 3), dtype=np.float32))
+        open_fds = lambda: len(os.listdir("/proc/self/fd"))
+        before = open_fds()
+        _, loaded = load_features(path)
+        assert open_fds() == before + 1  # the mapping's own descriptor
+        del loaded
+        assert open_fds() == before

@@ -621,6 +621,33 @@ class TestCheckpointLoadsOneCopy:
         assert offset == len(raw)
         loaded.w_vis[0, 0] = 1.0
 
+    def test_a_write_to_a_loaded_array_never_reaches_the_file(self, tmp_path):
+        path = tmp_path / "model.t2vm"
+        save_checkpoint(init_model(9, 5, 4, seed=3), path)
+        raw = path.read_bytes()
+        loaded = load_checkpoint(path)
+        w_vis = loaded.w_vis.copy()
+        loaded.w_vis[...] = 7.0
+        assert path.read_bytes() == raw
+        assert np.array_equal(load_checkpoint(path).w_vis, w_vis)
+
+    def test_a_save_over_the_path_leaves_loaded_arrays_unchanged(self, tmp_path):
+        path = tmp_path / "model.t2vm"
+        save_checkpoint(init_model(9, 5, 4, seed=3), path)
+        loaded = load_checkpoint(path)
+        before = {name: arr.copy() for name, arr in loaded.params().items()}
+        save_checkpoint(init_model(6, 3, 2, has_text_branch=False, seed=4), path)
+        for name, arr in loaded.params().items():
+            assert np.array_equal(arr, before[name]), name
+        assert load_checkpoint(path).vocab_dim == 6
+
+    def test_empty_file_is_a_truncated_header(self, tmp_path):
+        path = tmp_path / "model.t2vm"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: truncated header"
+
     def test_non_finite_message(self, tmp_path):
         m = init_model(3, 2, 2, seed=0)
         m.w_vis[1, 1] = np.inf

@@ -359,14 +359,26 @@ class TestSlTrain:
         recomputed = optim._split_losses(result.model, va)[1]
         assert recomputed == pytest.approx(best, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_loss_diagnostic(self, tiny):
         vocab, tr, va = tiny
         img = CaptionedImage(0, ["dog runs here"], np.zeros(16, dtype=np.float32))
         bad_set = encode_dataset([img] * 20, vocab)
-        bad_set.features[:] = np.inf  # encode_dataset itself rejects such targets
-        with pytest.raises(TrainingDiverged, match="iteration 1"):
-            sl_train(bad_set, va, tiny_model(vocab), tiny_config(sl_prob_visual=1.0))
+
+        def poison(point):  # after the finite point 0; encode_dataset rejects such targets
+            bad_set.features[:] = np.inf
+
+        with pytest.raises(TrainingDiverged, match="^visual loss is inf at iteration 1$"):
+            sl_train(bad_set, va, tiny_model(vocab), tiny_config(sl_prob_visual=1.0),
+                     progress=poison)
+
+    @pytest.mark.parametrize("train_fn", [sl_train, visreg_train])
+    def test_nonfinite_eval_point_loss_diverges(self, tiny, train_fn):
+        # the one step's loss is finite, but it leaves the weights non-finite
+        vocab, tr, va = tiny
+        with pytest.raises(TrainingDiverged,
+                           match="^train (text|visual) loss is nan at iteration 1$"):
+            train_fn(tr, va, tiny_model(vocab), tiny_config(
+                max_iterations=1, eval_every=1, learning_rate=1e200))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_validation_feature_rejected(self, tiny, value):

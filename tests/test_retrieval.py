@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from text2vis import retrieval
 from text2vis.retrieval import VisualIndex, build_index, l2_normalize, query
@@ -50,6 +51,23 @@ class TestBuildIndex:
     def test_id_count_mismatch(self):
         with pytest.raises(ValueError):
             build_index([1], np.ones((2, 3)))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # a huge row's squares
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]).flatmap(lambda dtype: hnp.arrays(
+               dtype, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24),
+               elements=st.floats(allow_nan=False, allow_infinity=False,
+                                  width=np.dtype(dtype).itemsize * 8))),
+           st.integers(1, 60))
+    def test_norms_are_numpy_norms_of_the_float64_rows_bitwise(self, rows, block):
+        # subnormal and huge elements, and blocks from a fraction of a row to
+        # many rows; a row whose norm is 0 (all zeros, or squares that all
+        # underflow) is rejected, so it gets a 1
+        want = lambda: np.linalg.norm(rows.astype(np.float64), axis=1)
+        rows[want() == 0, 0] = 1.0
+        with mock.patch.object(retrieval, "_BUILD_BLOCK", block):
+            index = build_index(range(len(rows)), rows)
+        assert np.array_equal(index.norms.view(np.uint64), want().view(np.uint64))
 
 
 def random_index(rng, n=50, dim=8):
